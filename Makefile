@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: all build test check bench bench-json diff explain figures fig6 fig7 \
         fig8 fig9 fig10 fig11 table1 overhead examples serve serve-smoke \
-        telemetry-race trace-race snapshot-race loadgen clean
+        telemetry-race trace-race loadgen clean
 
 all: build test
 
@@ -23,7 +23,6 @@ check:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(MAKE) snapshot-race
 	$(MAKE) bench-json
 
 # Reduced-scale benchmark suite: one bench per table/figure + ablations.
@@ -98,16 +97,6 @@ telemetry-race:
 # scheduler) under the race detector.
 trace-race:
 	$(GO) test -race ./internal/tracing ./internal/harness ./internal/serve
-
-# Snapshot determinism gate: the checkpoint/restore byte-identity
-# contracts — restored machines continuing bit-exactly, snapshot-restored
-# sharded sweeps matching the serial detailed estimator, and store
-# self-healing — explicitly, under the race detector (the fan-out is
-# concurrent). make check runs -race repo-wide; this names the gate so a
-# snapshot regression fails with a pointed target.
-snapshot-race:
-	$(GO) test -race -run 'TestSnapshot' ./internal/pipeline ./internal/harness
-	$(GO) test -race ./internal/snap
 
 # Service-level determinism SLO: hammer an in-process sccserve with
 # concurrent mixed-config requests and assert every manifest is

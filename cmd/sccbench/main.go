@@ -45,7 +45,7 @@ func main() { os.Exit(run()) }
 func run() int {
 	var (
 		experiment = flag.String("experiment", "all",
-			"table1 | fig6 | fig7 | fig8 | fig9 | fig10 | fig11 | overhead | ext | simpoint-sharded | simpoint-snapshot | loadgen | all, or a comma-separated list (all excludes simpoint-sharded, simpoint-snapshot and loadgen)")
+			"table1 | fig6 | fig7 | fig8 | fig9 | fig10 | fig11 | overhead | ext | simpoint | loadgen | all, or a comma-separated list (all excludes simpoint and loadgen)")
 		maxUops  = flag.Uint64("max-uops", 0, "interval length override in micro-ops (0 = workload defaults)")
 		subset   = flag.String("workloads", "", "comma-separated workload subset (default: all 19)")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0),
@@ -57,11 +57,6 @@ func run() int {
 			"total requests the loadgen experiment issues (repeats included)")
 		lgConcurrency = flag.Int("loadgen-concurrency", 16,
 			"concurrent in-flight loadgen requests")
-
-		snapshotDir = flag.String("snapshot-dir", "",
-			"warmup snapshot store directory for simpoint-snapshot: detailed warmup state persists here keyed by (workload, warmup hash, boundary) and later sweeps restore instead of re-warming")
-		snapshotMaxBytes = flag.Int64("snapshot-max-bytes", 0,
-			"snapshot store size cap in bytes; least-recently-used slots are evicted past it (0 = unbounded)")
 
 		jsonDir    = flag.String("json", "", "write one JSON manifest per run (plus index.json) into this directory")
 		traceOut   = flag.String("trace-out", "", "write the sweeps' span trees as OTLP-compatible JSON to this path (one root span per sweep, one child per scheduled run)")
@@ -87,16 +82,6 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "sccbench: -parallel must be >= 0 (0 = GOMAXPROCS), got %d\n", *parallel)
 		return 2
 	}
-	if *snapshotMaxBytes < 0 {
-		fmt.Fprintf(os.Stderr, "sccbench: -snapshot-max-bytes must be >= 0 (0 = unbounded), got %d\n", *snapshotMaxBytes)
-		return 2
-	}
-	if *snapshotDir != "" {
-		if info, err := os.Stat(*snapshotDir); err == nil && !info.IsDir() {
-			fmt.Fprintf(os.Stderr, "sccbench: -snapshot-dir %s exists and is not a directory\n", *snapshotDir)
-			return 2
-		}
-	}
 	logger, err := telemetry.NewLogger(os.Stderr, *logLevel, *logFormat)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sccbench: %v\n", err)
@@ -121,8 +106,7 @@ func run() int {
 		}
 	}()
 
-	opts := sccsim.Options{MaxUops: *maxUops, Parallel: *parallel, Logger: logger,
-		SnapshotDir: *snapshotDir, SnapshotMaxBytes: *snapshotMaxBytes}
+	opts := sccsim.Options{MaxUops: *maxUops, Parallel: *parallel, Logger: logger}
 	if *subset != "" {
 		for _, name := range strings.Split(*subset, ",") {
 			w, ok := workloads.ByName(strings.TrimSpace(name))
@@ -250,20 +234,8 @@ func run() int {
 			return f.Timing, nil
 		},
 		"overhead": func() (*sccsim.SweepSummary, error) { sccsim.Overheads(os.Stdout); return nil, nil },
-		"simpoint-sharded": func() (*sccsim.SweepSummary, error) {
-			o := opts
-			o.ShardSimPoints = true
-			f, err := sccsim.SimPointSweep(o)
-			if err != nil {
-				return nil, err
-			}
-			f.Write(os.Stdout)
-			return nil, nil
-		},
-		"simpoint-snapshot": func() (*sccsim.SweepSummary, error) {
-			o := opts
-			o.SnapshotSimPoints = true
-			f, err := sccsim.SimPointSweep(o)
+		"simpoint": func() (*sccsim.SweepSummary, error) {
+			f, err := sccsim.SimPointSweep(opts)
 			if err != nil {
 				return nil, err
 			}

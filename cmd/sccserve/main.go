@@ -50,10 +50,6 @@ func run() int {
 			"admission queue depth; submissions beyond it get 429 + Retry-After")
 		maxUopsCap = flag.Uint64("max-uops-cap", serve.DefaultMaxUopsCap,
 			"reject jobs whose effective work budget exceeds this many micro-ops")
-		snapshotDir = flag.String("snapshot-dir", "",
-			"warmup snapshot store directory, shared with sccbench/sccsim sweeps pointed at the same path (\"\" = disabled)")
-		snapshotMaxBytes = flag.Int64("snapshot-max-bytes", 0,
-			"size cap for the snapshot store in bytes; least-recently-used slots are evicted past it (0 = unbounded)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second,
 			"how long SIGINT/SIGTERM waits for in-flight jobs before aborting them")
 		addrFile = flag.String("addr-file", "",
@@ -86,16 +82,6 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "sccserve: -flight-capacity must be >= 1, got %d\n", *flightCap)
 		return 2
 	}
-	if *snapshotMaxBytes < 0 {
-		fmt.Fprintf(os.Stderr, "sccserve: -snapshot-max-bytes must be >= 0 (0 = unbounded), got %d\n", *snapshotMaxBytes)
-		return 2
-	}
-	if *snapshotDir != "" {
-		if info, err := os.Stat(*snapshotDir); err == nil && !info.IsDir() {
-			fmt.Fprintf(os.Stderr, "sccserve: -snapshot-dir %s exists and is not a directory\n", *snapshotDir)
-			return 2
-		}
-	}
 	logger, err := telemetry.NewLogger(os.Stderr, *logLevel, *logFormat)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sccserve: %v\n", err)
@@ -106,14 +92,12 @@ func run() int {
 	}
 
 	srv := serve.New(serve.Config{
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		CacheDir:         *cacheDir,
-		MaxUopsCap:       *maxUopsCap,
-		SnapshotDir:      *snapshotDir,
-		SnapshotMaxBytes: *snapshotMaxBytes,
-		Logger:           logger,
-		FlightCapacity:   *flightCap,
+		Workers:        *workers,
+		QueueDepth:     *queue,
+		CacheDir:       *cacheDir,
+		MaxUopsCap:     *maxUopsCap,
+		Logger:         logger,
+		FlightCapacity: *flightCap,
 	})
 
 	// SIGQUIT dumps the flight recorder — the last N structured events —

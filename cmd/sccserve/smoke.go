@@ -206,8 +206,6 @@ func smokeProm(client *http.Client, base, jobBody string) error {
 		"sccserve_job_latency_seconds_count", "sccserve_run_wall_seconds_count",
 		"sccserve_compare_total", "telemetry_flight_dropped_total",
 		"runner_jobs_completed_total", "process_uptime_seconds",
-		"snapshot_hits_total", "snapshot_misses_total",
-		"snapshot_bytes_written_total", "snapshot_evictions_total",
 	}
 	for _, name := range required {
 		if _, ok := first.Samples[name]; !ok {

@@ -2,12 +2,7 @@ package harness
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
-
-	"sccsim/internal/pipeline"
-	"sccsim/internal/scc"
-	"sccsim/internal/workloads"
 )
 
 // TestParallelOutputByteIdentical is the subsystem's core guarantee: a
@@ -67,17 +62,15 @@ func TestPairAndExtDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardedSimPointParallelByteIdentical extends the byte-identity
-// guarantee to the sharded SimPoint sweep: shards are submitted
-// longest-first for makespan but remapped to canonical point order before
-// the weighted merge, so the rendered table is the same bytes at any
-// worker count.
-func TestShardedSimPointParallelByteIdentical(t *testing.T) {
+// TestSimPointSweepParallelByteIdentical extends the byte-identity
+// guarantee to the SimPoint sweep: each workload's estimate is one
+// scheduler job, and rows come back in submission order, so the rendered
+// table is the same bytes at any worker count.
+func TestSimPointSweepParallelByteIdentical(t *testing.T) {
 	render := func(parallel int) []byte {
 		opts := smallOpts(t, "xalancbmk", "mcf", "freqmine")
 		opts.MaxUops = 80_000
 		opts.Parallel = parallel
-		opts.ShardSimPoints = true
 		f, err := SimPointSweepRun(opts)
 		if err != nil {
 			t.Fatal(err)
@@ -89,42 +82,8 @@ func TestShardedSimPointParallelByteIdentical(t *testing.T) {
 	serial := render(1)
 	parallel := render(4)
 	if !bytes.Equal(serial, parallel) {
-		t.Errorf("sharded SimPoint output diverged from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
+		t.Errorf("SimPoint sweep output diverged from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
 			serial, parallel)
-	}
-}
-
-// TestShardedSimPointDetailedMatchesSerial pins the detailed warmup
-// mode's bit-exactness claim: replaying each shard's full prefix with a
-// stop at every interval boundary reproduces the serial resumable pass's
-// per-interval measurements, weighted estimate, and full-run IPC exactly.
-func TestShardedSimPointDetailedMatchesSerial(t *testing.T) {
-	w, ok := workloads.ByName("xalancbmk")
-	if !ok {
-		t.Fatal("missing workload")
-	}
-	cfg := pipeline.IcelakeSCC(scc.LevelFull)
-	opts := Options{MaxUops: 100_000, Parallel: 4}
-	const interval, k = 20_000, 3
-	serial, err := SimPointEstimate(cfg, w, interval, k, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := SimPointEstimateSharded(cfg, w, interval, k, WarmupDetailed, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.WeightedIPC != sharded.WeightedIPC {
-		t.Errorf("weighted IPC: serial %v, sharded %v", serial.WeightedIPC, sharded.WeightedIPC)
-	}
-	if serial.FullIPC != sharded.FullIPC {
-		t.Errorf("full IPC: serial %v, sharded %v", serial.FullIPC, sharded.FullIPC)
-	}
-	if !reflect.DeepEqual(serial.IntervalCycles, sharded.IntervalCycles) {
-		t.Errorf("interval cycles: serial %v, sharded %v", serial.IntervalCycles, sharded.IntervalCycles)
-	}
-	if !reflect.DeepEqual(serial.IntervalUops, sharded.IntervalUops) {
-		t.Errorf("interval uops: serial %v, sharded %v", serial.IntervalUops, sharded.IntervalUops)
 	}
 }
 

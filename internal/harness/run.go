@@ -88,29 +88,6 @@ type Options struct {
 	// with exact serial semantics. Results are order-deterministic
 	// either way.
 	Parallel int
-	// ShardSimPoints makes SimPointSweepRun measure each SimPoint
-	// representative as its own scheduler job with functional fast-forward
-	// warmup (SimPointEstimateSharded, WarmupFunctional) instead of one
-	// serial resumable pass per workload. Estimates carry cold-start bias;
-	// results remain byte-identical across Parallel settings.
-	ShardSimPoints bool
-	// SnapshotSimPoints makes SimPointSweepRun measure each representative
-	// as its own scheduler job restored from a warmup snapshot
-	// (SimPointEstimateSnapshot): the detailed warmup prefix runs once per
-	// workload, is checkpointed at the boundaries the representatives
-	// start at, and every shard fans out from its checkpoint. Bit-equal to
-	// the serial detailed estimate, parallel like the sharded one. Takes
-	// precedence over ShardSimPoints.
-	SnapshotSimPoints bool
-	// SnapshotDir, when non-empty, persists warmup snapshots in a
-	// content-addressed store beside the result cache, keyed by
-	// (workload, WarmupHash, boundary): sweeps of configs that differ only
-	// in work budget — and later invocations entirely — restore instead of
-	// re-warming. Empty keeps snapshots in memory for the current sweep.
-	SnapshotDir string
-	// SnapshotMaxBytes caps the on-disk snapshot store; least-recently-
-	// used slots are evicted past the cap. 0 means unbounded.
-	SnapshotMaxBytes int64
 	// CacheDir, when non-empty, enables the manifest result cache: before
 	// simulating, each run probes the directory for a manifest whose
 	// ConfigHash matches the effective configuration and rehydrates the

@@ -31,8 +31,13 @@ type SimPointResult struct {
 
 // ProfileBBV runs the workload functionally and fingerprints execution
 // intervals by basic-block vector, attributing each micro-op to the macro
-// PC that started its basic block.
+// PC that started its basic block. Only whole intervals of the budget are
+// profiled, so every interval can be measured at full length; a program
+// that halts early still ends with its short last interval.
 func ProfileBBV(w workloads.Workload, intervalUops uint64, budget uint64) []simpoint.Interval {
+	if intervalUops > 0 {
+		budget -= budget % intervalUops
+	}
 	m := emu.New(w.Program())
 	if w.MemInit != nil {
 		w.MemInit(m.Mem)
@@ -104,157 +109,6 @@ func SimPointEstimate(cfg pipeline.Config, w workloads.Workload, intervalUops ui
 	return res, nil
 }
 
-// WarmupMode selects how a sharded SimPoint measurement warms the
-// microarchitectural state before its representative interval.
-type WarmupMode int
-
-const (
-	// WarmupDetailed replays the full detailed prefix, stopping at every
-	// interval boundary exactly as the serial estimator does (each stop's
-	// pipeline-drain bubble is part of the measurement, so stopping
-	// everywhere is what makes the shard bit-exact). Per-interval and
-	// weighted results equal SimPointEstimate's; wall clock parallelizes
-	// across shards but the full-extent shard still costs a whole serial
-	// pass — this mode exists for validation, not throughput.
-	WarmupDetailed WarmupMode = iota
-	// WarmupFunctional fast-forwards the functional oracle to the interval
-	// start (Machine.FastForward) and measures only the representative
-	// interval in detail. Each shard costs roughly one interval, so k
-	// shards across W workers approach min(k, W)-fold wall speedup — at
-	// the price of cold caches and predictors at each interval start
-	// (cold-start bias; the estimate is not bit-equal to the serial one).
-	WarmupFunctional
-)
-
-// String names the mode for tables and logs.
-func (m WarmupMode) String() string {
-	if m == WarmupFunctional {
-		return "functional"
-	}
-	return "detailed"
-}
-
-// shardSample is one shard's cumulative (cycles, uops) readings at its
-// interval's lower and upper boundaries.
-type shardSample struct {
-	loCycles, loUops uint64
-	hiCycles, hiUops uint64
-}
-
-// runShard measures one representative interval ending at boundary hi
-// (1-based) on a fresh machine.
-func runShard(cfg pipeline.Config, w workloads.Workload, intervalUops uint64, hi int, mode WarmupMode) (*shardSample, error) {
-	m, err := pipeline.New(cfg, w.Program())
-	if err != nil {
-		return nil, err
-	}
-	if w.MemInit != nil {
-		w.MemInit(m.Oracle.Mem)
-	}
-	s := &shardSample{}
-	switch mode {
-	case WarmupDetailed:
-		for i := 1; i <= hi; i++ {
-			m.Cfg.MaxUops = uint64(i) * intervalUops
-			st, err := m.Run()
-			if err != nil {
-				return nil, err
-			}
-			if i == hi-1 {
-				s.loCycles, s.loUops = st.Cycles, st.CommittedUops
-			}
-			if i == hi {
-				s.hiCycles, s.hiUops = st.Cycles, st.CommittedUops
-			}
-		}
-	case WarmupFunctional:
-		if _, err := m.FastForward(uint64(hi-1) * intervalUops); err != nil {
-			return nil, err
-		}
-		m.Cfg.MaxUops = uint64(hi) * intervalUops
-		st, err := m.Run()
-		if err != nil {
-			return nil, err
-		}
-		// The machine starts cold at the interval, so the interval deltas
-		// are the final stats themselves (lo stays zero).
-		s.hiCycles, s.hiUops = st.Cycles, st.CommittedUops
-	}
-	return s, nil
-}
-
-// SimPointEstimateSharded is SimPointEstimate with each representative
-// interval measured as its own scheduler job on a fresh machine, fanned
-// out across Options.Parallel workers. Shards are submitted longest-first
-// (makespan) and remapped to canonical point order before the weighted
-// merge, so the result is byte-identical for any worker count. In
-// WarmupDetailed mode the estimate (and FullIPC, via an extra full-extent
-// shard) is bit-equal to SimPointEstimate's; in WarmupFunctional mode each
-// shard skips its prefix via functional fast-forward and FullIPC is left
-// zero (no shard runs the whole program in detail).
-func SimPointEstimateSharded(cfg pipeline.Config, w workloads.Workload, intervalUops uint64, k int, mode WarmupMode, opts Options) (*SimPointResult, error) {
-	budget := opts.maxUops(w)
-	intervals := ProfileBBV(w, intervalUops, budget)
-	if len(intervals) == 0 {
-		return nil, fmt.Errorf("harness: %s produced no intervals", w.Name)
-	}
-	points := simpoint.Select(intervals, k)
-
-	// One shard per representative; detailed mode adds a full-extent shard
-	// whose final sample provides FullIPC.
-	his := make([]int, 0, len(points)+1)
-	for _, p := range points {
-		his = append(his, p.Interval+1)
-	}
-	if mode == WarmupDetailed {
-		his = append(his, len(intervals))
-	}
-	order := make([]int, len(his))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return his[order[a]] > his[order[b]] })
-
-	jobs := make([]runner.Job[*shardSample], len(order))
-	for ji, si := range order {
-		hi := his[si]
-		jobs[ji] = runner.Job[*shardSample]{
-			Name: fmt.Sprintf("%s@%d", w.Name, hi),
-			Run: func(context.Context) (*shardSample, error) {
-				return runShard(cfg, w, intervalUops, hi, mode)
-			},
-		}
-	}
-	results, _, err := runner.Run(context.Background(), opts.runnerConfig(), jobs)
-	if err != nil {
-		return nil, err
-	}
-	samples := make([]*shardSample, len(his))
-	for ji, si := range order {
-		samples[si] = results[ji]
-	}
-
-	res := &SimPointResult{Points: points}
-	var weighted float64
-	for i, p := range points {
-		s := samples[i]
-		cyc := s.hiCycles - s.loCycles
-		uops := s.hiUops - s.loUops
-		res.IntervalCycles = append(res.IntervalCycles, cyc)
-		res.IntervalUops = append(res.IntervalUops, uops)
-		if cyc > 0 {
-			weighted += p.Weight * (float64(uops) / float64(cyc))
-		}
-	}
-	res.WeightedIPC = weighted
-	if mode == WarmupDetailed {
-		if f := samples[len(points)]; f.hiCycles > 0 {
-			res.FullIPC = float64(f.hiUops) / float64(f.hiCycles)
-		}
-	}
-	return res, nil
-}
-
 // SimPoint sweep defaults: each workload's budget is cut into this many
 // intervals, and up to this many representatives are measured.
 const (
@@ -264,50 +118,41 @@ const (
 
 // SimPointSweep is the SimPoint-estimation table: per-workload weighted
 // whole-program IPC estimates under the full-SCC configuration, next to
-// the true full-run IPC where a mode measures it.
+// the measured full-run IPC they approximate.
 type SimPointSweep struct {
 	Names       []string
 	WeightedIPC []float64
-	// FullIPC is the measured whole-run IPC; zero in sharded (functional)
-	// mode, where no shard runs the whole program in detail.
-	FullIPC []float64
-	Points  []int // representatives measured per workload
-	Sharded bool
-	// Snapshot marks the snapshot-restored detailed-warmup mode
-	// (SimPointEstimateSnapshot): sharded fan-out, serial-exact results.
-	Snapshot bool
+	FullIPC     []float64
+	Points      []int // representatives measured per workload
 }
 
 // SimPointSweepRun estimates every workload's whole-program IPC from
-// SimPoint representatives. With Options.ShardSimPoints each
-// representative becomes its own scheduler job with functional
-// fast-forward warmup (parallel across Options.Parallel workers);
-// otherwise each workload is one serial resumable pass.
+// SimPoint representatives. Each workload is one scheduler job running
+// SimPointEstimate, spread across Options.Parallel workers; rows come
+// back in workload order, so the table is the same at any worker count.
 func SimPointSweepRun(opts Options) (*SimPointSweep, error) {
 	ws := opts.workloads()
-	f := &SimPointSweep{Sharded: opts.ShardSimPoints || opts.SnapshotSimPoints, Snapshot: opts.SnapshotSimPoints}
 	cfg := pipeline.IcelakeSCC(scc.LevelFull)
-	for _, w := range ws {
+	jobs := make([]runner.Job[*SimPointResult], len(ws))
+	for i, w := range ws {
 		interval := opts.maxUops(w) / simPointIntervalsPerRun
 		if interval == 0 {
 			interval = opts.maxUops(w)
 		}
-		var (
-			r   *SimPointResult
-			err error
-		)
-		switch {
-		case opts.SnapshotSimPoints:
-			r, err = SimPointEstimateSnapshot(cfg, w, interval, simPointK, opts)
-		case opts.ShardSimPoints:
-			r, err = SimPointEstimateSharded(cfg, w, interval, simPointK, WarmupFunctional, opts)
-		default:
-			r, err = SimPointEstimate(cfg, w, interval, simPointK, opts)
+		jobs[i] = runner.Job[*SimPointResult]{
+			Name: w.Name,
+			Run: func(context.Context) (*SimPointResult, error) {
+				return SimPointEstimate(cfg, w, interval, simPointK, opts)
+			},
 		}
-		if err != nil {
-			return nil, err
-		}
-		f.Names = append(f.Names, w.Name)
+	}
+	results, _, err := runner.Run(opts.ctx(), opts.runnerConfig(), jobs)
+	if err != nil {
+		return nil, err
+	}
+	f := &SimPointSweep{}
+	for i, r := range results {
+		f.Names = append(f.Names, ws[i].Name)
 		f.WeightedIPC = append(f.WeightedIPC, r.WeightedIPC)
 		f.FullIPC = append(f.FullIPC, r.FullIPC)
 		f.Points = append(f.Points, len(r.Points))
@@ -317,29 +162,12 @@ func SimPointSweepRun(opts Options) (*SimPointSweep, error) {
 
 // Write prints the estimation table.
 func (f *SimPointSweep) Write(w io.Writer) {
-	mode := "serial resumable pass"
-	switch {
-	case f.Snapshot:
-		mode = "sharded, snapshot-restored detailed warmup"
-	case f.Sharded:
-		mode = "sharded, functional fast-forward warmup"
-	}
-	section(w, fmt.Sprintf("SimPoint whole-program IPC estimates (%s)", mode))
+	section(w, "SimPoint whole-program IPC estimates")
 	t := newTable("benchmark", "points", "weighted ipc", "full ipc")
 	for i, name := range f.Names {
-		full := "-"
-		if f.FullIPC[i] > 0 {
-			full = fmt.Sprintf("%.3f", f.FullIPC[i])
-		}
-		t.row(name, fmt.Sprintf("%d", f.Points[i]), fmt.Sprintf("%.3f", f.WeightedIPC[i]), full)
+		t.row(name, fmt.Sprintf("%d", f.Points[i]), fmt.Sprintf("%.3f", f.WeightedIPC[i]), fmt.Sprintf("%.3f", f.FullIPC[i]))
 	}
 	t.write(w)
-	switch {
-	case f.Snapshot:
-		fmt.Fprintln(w, "note: each interval restored from a warmup snapshot; estimates are bit-equal to the serial detailed pass")
-	case f.Sharded:
-		fmt.Fprintln(w, "note: functional warmup leaves caches and predictors cold at each interval start; estimates carry cold-start bias")
-	}
 }
 
 // blockHeads returns the static basic-block leader PCs of a program

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sccsim/internal/pipeline"
+	"sccsim/internal/scc"
 	"sccsim/internal/workloads"
 )
 
@@ -70,5 +71,33 @@ func TestSimPointEstimateUnderSCC(t *testing.T) {
 	rel := res.WeightedIPC/res.FullIPC - 1
 	if rel < -0.30 || rel > 0.30 {
 		t.Errorf("SCC weighted IPC %.3f vs full %.3f", res.WeightedIPC, res.FullIPC)
+	}
+}
+
+// TestSimPointEstimateDropsPartialInterval pins the budget to whole
+// intervals: one uop past eight intervals must not become a ninth
+// interval that is then measured at full length past the budget.
+func TestSimPointEstimateDropsPartialInterval(t *testing.T) {
+	w, _ := workloads.ByName("xalancbmk")
+	const interval = 12_500
+	if n := len(ProfileBBV(w, interval, 100_001)); n != 8 {
+		t.Fatalf("intervals = %d, want 8", n)
+	}
+	cfg := pipeline.IcelakeSCC(scc.LevelFull)
+	over, err := SimPointEstimate(cfg, w, interval, 4, Options{MaxUops: 100_001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := SimPointEstimate(cfg, w, interval, 4, Options{MaxUops: 100_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if over.FullIPC != exact.FullIPC {
+		t.Errorf("FullIPC at budget 100001 = %v, at 100000 = %v", over.FullIPC, exact.FullIPC)
+	}
+	for i, u := range over.IntervalUops {
+		if u > interval {
+			t.Errorf("point %d measured %d uops, interval is %d", i, u, interval)
+		}
 	}
 }

@@ -67,22 +67,28 @@ func (p *Profile) Intervals() []Interval {
 	return p.intervals
 }
 
-// distance is the L1 (Manhattan) distance between normalized BBVs.
+// distance is the L1 (Manhattan) distance between normalized BBVs. Terms
+// are summed in ascending block-PC order: float addition is not
+// associative, so summing in map order would let near-tied intervals pick
+// different representatives from one call to the next.
 func distance(a, b Interval) float64 {
-	d := 0.0
 	an, bn := float64(a.Uops), float64(b.Uops)
 	if an == 0 || bn == 0 {
 		return 1
 	}
-	seen := map[uint64]bool{}
-	for k, v := range a.Vec {
-		seen[k] = true
-		d += abs(float64(v)/an - float64(b.Vec[k])/bn)
+	pcs := make([]uint64, 0, len(a.Vec)+len(b.Vec))
+	for k := range a.Vec {
+		pcs = append(pcs, k)
 	}
-	for k, v := range b.Vec {
-		if !seen[k] {
-			d += float64(v) / bn
+	for k := range b.Vec {
+		if _, ok := a.Vec[k]; !ok {
+			pcs = append(pcs, k)
 		}
+	}
+	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
+	d := 0.0
+	for _, k := range pcs {
+		d += abs(float64(a.Vec[k])/an - float64(b.Vec[k])/bn)
 	}
 	return d
 }

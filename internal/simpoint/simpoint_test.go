@@ -110,3 +110,42 @@ func TestWeightedMetric(t *testing.T) {
 		t.Error("length mismatch must error")
 	}
 }
+
+// orderSensitive builds a 40-block BBV whose normalized counts round
+// differently depending on the order they are summed in, so a distance
+// summed in map order would not repeat from call to call.
+func orderSensitive(mod uint64) map[uint64]uint64 {
+	vec := map[uint64]uint64{}
+	for i := uint64(0); i < 40; i++ {
+		vec[0x1000+i*16] = i%mod + 1
+	}
+	return vec
+}
+
+func TestDistanceRepeatsExactly(t *testing.T) {
+	a := mkInterval(0, orderSensitive(7))
+	b := mkInterval(1, orderSensitive(5))
+	want := distance(a, b)
+	for i := 0; i < 200; i++ {
+		if got := distance(a, b); got != want {
+			t.Fatalf("call %d: distance = %v, first call gave %v", i, got, want)
+		}
+	}
+}
+
+// TestSelectRepeatsOnTies gives intervals 1 and 2 the same BBV, so they
+// are equally far from interval 0: the tie must go to the lower index on
+// every call, not to whichever sum happened to round up.
+func TestSelectRepeatsOnTies(t *testing.T) {
+	ivs := []Interval{
+		mkInterval(0, orderSensitive(7)),
+		mkInterval(1, orderSensitive(5)),
+		mkInterval(2, orderSensitive(5)),
+	}
+	for i := 0; i < 200; i++ {
+		pts := Select(ivs, 2)
+		if len(pts) != 2 || pts[0].Interval != 0 || pts[1].Interval != 1 {
+			t.Fatalf("call %d: Select = %+v, want intervals 0 and 1", i, pts)
+		}
+	}
+}

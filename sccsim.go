@@ -160,10 +160,9 @@ func Figure11(opts Options) (*harness.Fig11, error) { return harness.Fig11Run(op
 func Extension(opts Options) (*harness.Ext, error) { return harness.ExtRun(opts) }
 
 // SimPointSweep estimates every workload's whole-program IPC from
-// SimPoint representatives under full SCC. With Options.ShardSimPoints
-// each representative is measured as its own scheduler job with
-// functional fast-forward warmup (parallel across Options.Parallel
-// workers); otherwise each workload runs as one serial resumable pass.
+// SimPoint representatives under full SCC. Each workload is one resumable
+// detailed pass with full warmup, run as a scheduler job across
+// Options.Parallel workers; the table is the same at any worker count.
 func SimPointSweep(opts Options) (*harness.SimPointSweep, error) {
 	return harness.SimPointSweepRun(opts)
 }
