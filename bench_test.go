@@ -260,30 +260,42 @@ func BenchmarkSimSCCLbm(b *testing.B)            { benchWorkload(b, "lbm", SCCCo
 // cover both fetch paths (decode/unopt vs the compacted-stream dry-run
 // machinery).
 func BenchmarkMachineRun(b *testing.B) {
-	w, ok := workloads.ByName("xalancbmk")
-	if !ok {
-		b.Fatal("unknown workload")
-	}
-	for _, cfg := range []struct {
+	configs := []struct {
 		name string
 		cfg  pipeline.Config
 	}{
 		{"baseline", BaselineConfig()},
 		{"scc-full", SCCConfig(LevelFull)},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			opts := Options{MaxUops: 25_000}
-			var res *RunResult
-			var err error
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err = Run(cfg.cfg, w, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
+	}
+	run := func(b *testing.B, w workloads.Workload, cfg pipeline.Config, opts Options) {
+		var res *RunResult
+		var err error
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res, err = Run(cfg, w, opts)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(res.Stats.CommittedUops)*float64(b.N)/b.Elapsed().Seconds(), "uops/sec")
-		})
+		}
+		b.ReportMetric(float64(res.Stats.CommittedUops)*float64(b.N)/b.Elapsed().Seconds(), "uops/sec")
+	}
+	w, ok := workloads.ByName("xalancbmk")
+	if !ok {
+		b.Fatal("unknown workload")
+	}
+	for _, c := range configs {
+		b.Run(c.name, func(b *testing.B) { run(b, w, c.cfg, Options{MaxUops: 25_000}) })
+	}
+	// The perf ledger's paper kernels (perfbench's paper workload) at
+	// their default budgets.
+	for _, name := range []string{"xalancbmk", "freqmine", "exchange2", "gcc", "mcf", "lbm"} {
+		k, ok := workloads.ByName(name)
+		if !ok {
+			b.Fatalf("unknown workload %q", name)
+		}
+		for _, c := range configs {
+			b.Run("kernel/"+name+"/"+c.name, func(b *testing.B) { run(b, k, c.cfg, Options{}) })
+		}
 	}
 }
 

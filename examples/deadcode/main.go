@@ -38,7 +38,7 @@ under:
 
 func main() {
 	prog := asm.MustAssemble(block)
-	dec := uop.NewDecoder(prog.InstAt)
+	dec := uop.NewDecoder(prog.Insts, prog.ByAddr)
 
 	// Show the original micro-op sequence.
 	fmt.Println("original micro-ops:")

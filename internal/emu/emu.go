@@ -141,12 +141,18 @@ type ExecResult struct {
 // Machine executes a program functionally at micro-op granularity.
 type Machine struct {
 	Prog *asm.Program
-	Dec  *uop.Decoder
-	St   State
-	Mem  *Memory
+	// Dec is the program's decoder. The pipeline shares it with the SCC
+	// unit, so each simulated machine decodes every macro-op once.
+	Dec *uop.Decoder
+	St  State
+	Mem *Memory
 
 	curUops []uop.UOp
 	curSeq  int
+	// nextIdx is the instruction index expected at St.PC: the one after
+	// the last macro-op on a fall-through, -1 after a taken branch, jump
+	// or Rollback (the decoder then looks the PC up by address).
+	nextIdx int
 
 	// UopCount counts executed micro-ops; MacroCount counts completed
 	// macro-instructions.
@@ -173,9 +179,10 @@ type memUndo struct {
 // the entry point.
 func New(p *asm.Program) *Machine {
 	m := &Machine{
-		Prog: p,
-		Dec:  uop.NewDecoder(p.InstAt),
-		Mem:  NewMemory(),
+		Prog:    p,
+		Dec:     uop.NewDecoder(p.Insts, p.ByAddr),
+		Mem:     NewMemory(),
+		nextIdx: -1,
 	}
 	m.Mem.LoadImage(p.Data)
 	m.St.PC = p.Entry
@@ -212,23 +219,26 @@ func (m *Machine) StepUop() (ExecResult, bool) {
 		return ExecResult{}, false
 	}
 	if m.curUops == nil || m.curSeq >= len(m.curUops) {
-		us, ok := m.Dec.At(m.St.PC)
+		i, ok := m.Dec.Index(m.St.PC, m.nextIdx)
 		if !ok {
 			m.St.Halted = true
 			return ExecResult{}, false
 		}
-		m.curUops = us
+		m.curUops = m.Dec.Uops(i)
 		m.curSeq = 0
+		m.nextIdx = i + 1
 	}
 	u := &m.curUops[m.curSeq]
 	res := ExecResult{U: u}
 
-	advanceMacro := func(next uint64) {
+	// jumpMacro ends the macro-op with a taken control transfer.
+	jumpMacro := func(next uint64) {
 		res.Target = next
 		res.EndsMacro = true
 		m.St.PC = next
 		m.curUops = nil
 		m.curSeq = 0
+		m.nextIdx = -1
 		m.MacroCount++
 	}
 
@@ -268,23 +278,21 @@ func (m *Machine) StepUop() (ExecResult, bool) {
 				m.curSeq = 0
 				return res, true
 			}
-			advanceMacro(u.Target)
-		} else if m.curSeq == len(m.curUops)-1 {
-			advanceMacro(u.NextPC())
+			jumpMacro(u.Target)
 		} else {
-			m.curSeq++
+			m.advanceSeq(u, &res)
 		}
 		return res, true
 	case uop.KJump:
 		res.Taken = true
 		m.UopCount++
-		advanceMacro(u.Target)
+		jumpMacro(u.Target)
 		return res, true
 	case uop.KJumpReg:
 		res.Taken = true
 		t := uint64(m.src(u, 1))
 		m.UopCount++
-		advanceMacro(t)
+		jumpMacro(t)
 		return res, true
 	case uop.KFp:
 		var v float64
@@ -333,6 +341,8 @@ func (m *Machine) StepUop() (ExecResult, bool) {
 // StGetF reads an FP register as float64 (helper used by KFp execution).
 func (m *Machine) StGetF(r isa.Reg) float64 { return m.St.GetF(r) }
 
+// advanceSeq moves to the next uop, falling through to the next macro-op
+// after the last one (nextIdx already names its likely index).
 func (m *Machine) advanceSeq(u *uop.UOp, res *ExecResult) {
 	if m.curSeq == len(m.curUops)-1 {
 		res.Target = u.NextPC()
@@ -395,11 +405,13 @@ func (m *Machine) Rollback() {
 	m.MacroCount = m.undoMacros
 	m.curUops = nil
 	m.curSeq = 0
+	m.nextIdx = -1
 	if m.undoSeq != 0 {
 		// Restore a mid-macro position by re-decoding the current macro.
-		if us, ok := m.Dec.At(m.St.PC); ok {
-			m.curUops = us
+		if i, ok := m.Dec.Index(m.St.PC, -1); ok {
+			m.curUops = m.Dec.Uops(i)
 			m.curSeq = m.undoSeq
+			m.nextIdx = i + 1
 		}
 	}
 	m.undoActive = false

@@ -327,3 +327,95 @@ func TestGoldenDeterminism(t *testing.T) {
 		t.Errorf("checksum = %d, want 41", a.St.Get(isa.R2))
 	}
 }
+
+// TestSequentialDecodeMatchesAddressLookup checks the emulator's
+// sequential fast path (taking the next instruction index when it sits at
+// the fall-through PC) against a twin machine that looks every macro-op up
+// by address. The program crosses an .org gap after a jump, loops back with
+// a taken branch, runs a repmov self-loop and falls off the end of its
+// code into a second gap; the twins also roll back from mid-macro
+// positions together. Every executed micro-op must equal a fresh decode of
+// the instruction at its PC, and the twins must agree step by step.
+func TestSequentialDecodeMatchesAddressLookup(t *testing.T) {
+	p, err := asm.Assemble(`
+		.data 0x100000
+	src:	.word 1, 2, 3, 4
+	dst:	.space 32
+		.text
+	main:
+		.entry main
+		movi r9, 0
+	again:
+		movi r1, 4
+		movi r2, src
+		movi r3, dst
+		repmov
+		movi r4, src
+		addm r5, [r4+8]
+		jmp  far
+		.org 0x2000
+	far:
+		addi r9, r9, 1
+		cmpi r9, 3
+		blt  again
+		movi r6, 7
+		.org 0x3000
+		halt
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast, slow := New(p), New(p)
+	step := func(i int) {
+		t.Helper()
+		slow.nextIdx = -1 // always the address map
+		rf, okf := fast.StepUop()
+		rs, oks := slow.StepUop()
+		if okf != oks {
+			t.Fatalf("step %d: fast ok=%v, address-lookup ok=%v", i, okf, oks)
+		}
+		if !okf {
+			return
+		}
+		if *rf.U != *rs.U || rf.Value != rs.Value || rf.Taken != rs.Taken ||
+			rf.Target != rs.Target || rf.MemAddr != rs.MemAddr || rf.EndsMacro != rs.EndsMacro {
+			t.Fatalf("step %d: fast %+v\naddress lookup %+v", i, rf, rs)
+		}
+		want := uop.Decode(p.Insts[p.ByAddr[rf.U.MacroPC]])[rf.U.SeqNum]
+		if *rf.U != want {
+			t.Fatalf("step %d: executed %v, fresh decode %v", i, rf.U, &want)
+		}
+		if fast.St != slow.St || fast.Seq() != slow.Seq() {
+			t.Fatalf("step %d: state diverged", i)
+		}
+	}
+	rollbacks := 0
+	for i := 0; i < 500 && !fast.Halted(); i++ {
+		if fast.Seq() != 0 && rollbacks < 5 && i%7 == 0 {
+			// Mid-macro dry run and squash, on both twins.
+			fast.BeginUndo()
+			slow.BeginUndo()
+			for k := 0; k < 3; k++ {
+				step(i)
+			}
+			fast.Rollback()
+			slow.Rollback()
+			rollbacks++
+		}
+		step(i)
+	}
+	if !fast.Halted() || !slow.Halted() {
+		t.Fatal("the fall-through into the .org gap should halt both machines")
+	}
+	if rollbacks == 0 {
+		t.Error("no mid-macro rollback exercised")
+	}
+	if fast.St.Get(isa.R9) != 3 || fast.St.Get(isa.R6) != 7 {
+		t.Errorf("r9=%d r6=%d, want the loop to run 3 times and fall through",
+			fast.St.Get(isa.R9), fast.St.Get(isa.R6))
+	}
+	if fast.UopCount != slow.UopCount || fast.MacroCount != slow.MacroCount {
+		t.Errorf("counts diverged: %d/%d uops, %d/%d macros",
+			fast.UopCount, slow.UopCount, fast.MacroCount, slow.MacroCount)
+	}
+}

@@ -383,7 +383,7 @@ func (b *backend) dispatch(u *uop.UOp, now uint64, memAddr uint64, doomed bool, 
 // pushROB appends the dispatched uop for in-order commit tracking. tr is
 // the uop's lifecycle record (nil unless tracing is enabled).
 func (b *backend) pushROB(complete uint64, doomed, slot, macroEnd bool, tr *UopTrace) {
-	b.rob.push(robEntry{complete: complete, doomed: doomed, slot: slot, macroEnd: macroEnd, tr: tr})
+	b.rob.push(&robEntry{complete: complete, doomed: doomed, slot: slot, macroEnd: macroEnd, tr: tr})
 }
 
 // inlineLiveOut makes a rename-time-inlined constant immediately available

@@ -61,8 +61,7 @@ type Machine struct {
 	Unit   *scc.Unit
 	Stats  Stats
 
-	be  *backend
-	dec *uop.Decoder
+	be *backend
 
 	idq      ring[idqEntry]
 	idqSlots int
@@ -158,7 +157,6 @@ func New(cfg Config, prog *asm.Program) (*Machine, error) {
 		VP:      vp,
 		Hier:    cache.NewHierarchy(cfg.Hier),
 		UC:      uopcache.New(cfg.UC),
-		dec:     uop.NewDecoder(prog.InstAt),
 		regions: newU64Table[regionState](8),
 		dryRes:  newU64Table[dryEntry](8),
 	}
@@ -166,7 +164,7 @@ func New(cfg Config, prog *asm.Program) (*Machine, error) {
 	m.nextPC = prog.Entry
 	if cfg.SCCEnabled {
 		m.Unit = scc.NewUnit(cfg.SCC, scc.Env{
-			UopsAt: m.dec.At,
+			UopsAt: m.Oracle.Dec.At,
 			Resident: func(pc uint64) bool {
 				return m.UC.Unopt.RegionResident(pc)
 			},
@@ -399,7 +397,7 @@ func (m *Machine) pushStream(budget int) (int, bool) {
 	}
 	pushed := 0
 	for m.cur.idx < len(m.cur.entries) && pushed < rate {
-		e := m.cur.entries[m.cur.idx]
+		e := &m.cur.entries[m.cur.idx]
 		if !e.u.FusedWithPrev && m.idqSlots >= m.Cfg.IDQSize {
 			m.Stats.IDQStallCycles++
 			return pushed, true
@@ -495,7 +493,7 @@ func (m *Machine) maybeRequestCompaction(line *uopcache.Line, pc uint64, baseCoo
 	if m.Unit == nil || !m.Unit.Enabled() {
 		return
 	}
-	if line != nil && line.Hot < m.Cfg.UC.HotThreshold {
+	if line != nil && m.UC.Unopt.Hot(line) < m.Cfg.UC.HotThreshold {
 		return
 	}
 	rs := m.regions.ref(pc)
@@ -637,16 +635,17 @@ func (m *Machine) buildTrace(budgetSlots int, source int, latency uint64) []idqE
 		if !ok {
 			break
 		}
-		u := *res.U
-		e := idqEntry{u: u, memAddr: res.MemAddr, source: source}
+		e := m.newEntry(res.U, source)
+		e.memAddr = res.MemAddr
+		u := &e.u
 		if tracing {
-			e.tr = m.newUopTrace(&u, source, false)
+			e.tr = m.newUopTrace(u, source, false)
 		}
-		m.trainValue(&u, res)
-		m.rasOnCall(&u)
+		m.trainValue(u, res)
+		m.rasOnCall(u)
 		stop := false
 		if u.IsBranchKind() {
-			correct := m.trainBranch(&u, res)
+			correct := m.trainBranch(u, res)
 			if !correct {
 				e.redirect = true
 				m.redirectPending = true
@@ -659,7 +658,6 @@ func (m *Machine) buildTrace(budgetSlots int, source int, latency uint64) []idqE
 		if u.Kind == uop.KHalt {
 			stop = true
 		}
-		m.cur.entries = append(m.cur.entries, e)
 		if !u.FusedWithPrev {
 			slots++
 		}
@@ -673,6 +671,17 @@ func (m *Machine) buildTrace(budgetSlots int, source int, latency uint64) []idqE
 	}
 	m.streamBuf = m.cur.entries
 	return m.cur.entries
+}
+
+// newEntry appends an IDQ entry for a copy of *u to the stream being built
+// and returns it for the caller to fill in: the uop is copied once, into
+// its stream slot.
+func (m *Machine) newEntry(u *uop.UOp, source int) *idqEntry {
+	m.cur.entries = append(m.cur.entries, idqEntry{})
+	e := &m.cur.entries[len(m.cur.entries)-1]
+	e.u = *u
+	e.source = source
+	return e
 }
 
 // buildFromDecode fetches via the instruction cache and legacy decode
@@ -814,18 +823,18 @@ func (m *Machine) buildFromOpt(line *uopcache.Line) {
 	m.cur = stream{entries: m.streamBuf[:0], rate: m.Cfg.FetchWidth, readyAt: m.cycle, source: srcOpt}
 	tracing := m.traceFn != nil
 	for i := range line.Uops {
-		u := line.Uops[i]
-		e := idqEntry{u: u, source: srcOpt}
+		e := m.newEntry(&line.Uops[i], srcOpt)
+		u := &e.u
 		if tracing {
-			e.tr = m.newUopTrace(&u, srcOpt, false)
+			e.tr = m.newUopTrace(u, srcOpt, false)
 		}
-		if de, ok := m.dryRes.get(scc.VPKey(&u)); ok {
+		if de, ok := m.dryRes.get(scc.VPKey(u)); ok {
 			res := de.res
 			e.memAddr = res.MemAddr
 			// Retained uops execute: train the predictors so their state
 			// never goes out of sync while optimized streams run (§V).
-			m.trainValue(&u, res)
-			m.rasOnCall(&u)
+			m.trainValue(u, res)
+			m.rasOnCall(u)
 			if u.IsBranchKind() {
 				if u.PredSource {
 					// Control-invariant branch: validated above; train.
@@ -840,7 +849,7 @@ func (m *Machine) buildFromOpt(line *uopcache.Line) {
 					}
 				} else {
 					// Terminal unresolved branch: normal prediction.
-					if !m.trainBranch(&u, res) {
+					if !m.trainBranch(u, res) {
 						e.redirect = true
 						m.redirectPending = true
 						m.redirectIsSquash = false
@@ -848,7 +857,6 @@ func (m *Machine) buildFromOpt(line *uopcache.Line) {
 				}
 			}
 		}
-		m.cur.entries = append(m.cur.entries, e)
 	}
 	// Live-outs inline at the end of the compacted stream (§IV).
 	if len(m.cur.entries) > 0 {
@@ -889,20 +897,17 @@ func (m *Machine) buildDoomedStream(line *uopcache.Line, violated int) {
 	m.cur = stream{entries: m.streamBuf[:0], rate: m.Cfg.FetchWidth, readyAt: m.cycle, source: srcOpt}
 	tracing := m.traceFn != nil
 	for i := range line.Uops {
-		u := line.Uops[i]
-		e := idqEntry{u: u, source: srcOpt, doomed: true}
+		e := m.newEntry(&line.Uops[i], srcOpt)
+		e.doomed = true
 		if tracing {
-			e.tr = m.newUopTrace(&u, srcOpt, true)
+			e.tr = m.newUopTrace(&e.u, srcOpt, true)
 		}
-		if de, ok := m.dryRes.get(scc.VPKey(&u)); ok {
+		key := scc.VPKey(&e.u)
+		if de, ok := m.dryRes.get(key); ok {
 			e.memAddr = de.res.MemAddr
 		}
-		last := haveStop && scc.VPKey(&u) == stopKey
-		if last {
+		if haveStop && key == stopKey {
 			e.redirect = true
-		}
-		m.cur.entries = append(m.cur.entries, e)
-		if last {
 			break
 		}
 	}
@@ -923,8 +928,8 @@ func (m *Machine) sccTick() {
 	if m.Unit == nil {
 		return
 	}
-	res, ok := m.Unit.Tick(m.cycle)
-	if !ok {
+	res := m.Unit.Tick(m.cycle)
+	if res == nil {
 		return
 	}
 	m.Stats.SCCRCTReads += res.RCTReads

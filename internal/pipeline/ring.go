@@ -17,12 +17,13 @@ func (r *ring[T]) len() int { return r.n }
 // empty reports whether the ring holds no elements.
 func (r *ring[T]) empty() bool { return r.n == 0 }
 
-// push appends v at the tail, growing the buffer when full.
-func (r *ring[T]) push(v T) {
+// push copies *v to the tail, growing the buffer when full. Taking a
+// pointer keeps large elements to the one copy into the buffer.
+func (r *ring[T]) push(v *T) {
 	if r.n == len(r.buf) {
 		r.grow()
 	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = *v
 	r.n++
 }
 

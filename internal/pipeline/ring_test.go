@@ -11,7 +11,7 @@ func TestRingFIFOAcrossGrowth(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for step := 0; step < 10000; step++ {
 		if rng.Intn(3) > 0 || r.empty() {
-			r.push(next)
+			r.push(&next)
 			next++
 		} else {
 			if got := *r.front(); got != expect {
@@ -39,7 +39,7 @@ func TestRingFIFOAcrossGrowth(t *testing.T) {
 func TestRingAdvanceReleasesReferences(t *testing.T) {
 	var r ring[*int]
 	v := new(int)
-	r.push(v)
+	r.push(&v)
 	r.advance()
 	if r.buf[0] != nil {
 		t.Error("advance left a live pointer in the freed slot")
@@ -49,13 +49,13 @@ func TestRingAdvanceReleasesReferences(t *testing.T) {
 func TestRingAt(t *testing.T) {
 	var r ring[int]
 	for i := 0; i < 100; i++ {
-		r.push(i)
+		r.push(&i)
 	}
 	for i := 0; i < 40; i++ {
 		r.advance()
 	}
 	for i := 100; i < 130; i++ {
-		r.push(i) // wraps around the head
+		r.push(&i) // wraps around the head
 	}
 	for i := 0; i < r.len(); i++ {
 		if got := *r.at(i); got != 40+i {
@@ -67,7 +67,8 @@ func TestRingAt(t *testing.T) {
 func TestRingReset(t *testing.T) {
 	var r ring[*int]
 	for i := 0; i < 10; i++ {
-		r.push(new(int))
+		v := new(int)
+		r.push(&v)
 	}
 	r.advance()
 	r.reset()
@@ -79,7 +80,8 @@ func TestRingReset(t *testing.T) {
 			t.Fatal("reset left live pointers in the buffer")
 		}
 	}
-	r.push(new(int))
+	v := new(int)
+	r.push(&v)
 	if r.len() != 1 {
 		t.Error("ring unusable after reset")
 	}

@@ -31,7 +31,7 @@ loop:
 `
 
 func wrapEnv(p *asm.Program, ldVal int64) Env {
-	dec := uop.NewDecoder(p.InstAt)
+	dec := uop.NewDecoder(p.Insts, p.ByAddr)
 	ldPC := p.Labels["loop"]
 	cmpPC := ldPC + 4 + 3 + 4 // ld(4) add(3) addi(4) -> cmp
 	return Env{

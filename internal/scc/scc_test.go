@@ -17,7 +17,7 @@ func testEnv(p *asm.Program, vals map[uint64]struct {
 	V    int64
 	Conf int
 }, probeBranch func(pc uint64, cond bool, tgt uint64, isRet bool) (bool, uint64, int)) Env {
-	dec := uop.NewDecoder(p.InstAt)
+	dec := uop.NewDecoder(p.Insts, p.ByAddr)
 	return Env{
 		UopsAt:   func(pc uint64) ([]uop.UOp, bool) { return dec.At(pc) },
 		Resident: func(pc uint64) bool { _, ok := p.InstAt(pc); return ok },
@@ -498,7 +498,7 @@ func TestStopsOnUopCacheMiss(t *testing.T) {
 		movi r2, 2
 		halt
 	`)
-	dec := uop.NewDecoder(p.InstAt)
+	dec := uop.NewDecoder(p.Insts, p.ByAddr)
 	second := p.Insts[1].Addr
 	env := Env{
 		UopsAt:   func(pc uint64) ([]uop.UOp, bool) { return dec.At(pc) },
@@ -757,20 +757,20 @@ func TestUnitBusyTiming(t *testing.T) {
 	u := NewUnit(DefaultConfig(), env)
 	u.Request(0, p.Labels["start"]) // 4 uops -> 4 cycles
 	now := uint64(10)
-	if _, ok := u.Tick(now); ok {
+	if u.Tick(now) != nil {
 		t.Error("job cannot complete on dispatch cycle")
 	}
 	if !u.Busy(now + 1) {
 		t.Error("unit should be busy")
 	}
 	for c := now + 1; c < now+4; c++ {
-		if _, ok := u.Tick(c); ok {
+		if u.Tick(c) != nil {
 			t.Errorf("completed too early at %d", c)
 		}
 	}
-	res, ok := u.Tick(now + 4)
-	if !ok || res.Line == nil {
-		t.Fatalf("job should complete at now+4: ok=%v", ok)
+	res := u.Tick(now + 4)
+	if res == nil || res.Line == nil {
+		t.Fatalf("job should complete at now+4: %+v", res)
 	}
 	if u.Stats.Committed != 1 || u.Stats.BusyCycles != 4 {
 		t.Errorf("stats = %+v", u.Stats)
@@ -848,12 +848,11 @@ func TestUnitJournalJobEvent(t *testing.T) {
 	u.SetJournal(&Journal{Job: func(ev JobEvent) { jobs = append(jobs, ev) }})
 
 	u.Request(0, p.Labels["start"])
-	var res Result
-	ok := false
-	for c := uint64(0); c < 100 && !ok; c++ {
-		res, ok = u.Tick(c)
+	var res *Result
+	for c := uint64(0); c < 100 && res == nil; c++ {
+		res = u.Tick(c)
 	}
-	if !ok {
+	if res == nil {
 		t.Fatal("job never completed")
 	}
 	if len(jobs) != 1 {

@@ -99,14 +99,16 @@ func (u *Unit) Busy(now uint64) bool { return u.pendingOK && now < u.busyUntil }
 
 // Tick advances the unit by one cycle. When a job completes it returns the
 // finished Result (with Line non-nil if a compacted stream should be
-// committed); otherwise ok is false.
-func (u *Unit) Tick(now uint64) (Result, bool) {
+// committed); on every other cycle it returns nil. The Result is the
+// unit's own storage: it stays valid until the next Tick, which may
+// dispatch another job into it.
+func (u *Unit) Tick(now uint64) *Result {
 	if u.pendingOK {
 		if now < u.busyUntil {
-			return Result{}, false
+			return nil
 		}
 		// Job complete this cycle.
-		res := u.pending
+		res := &u.pending
 		u.pendingOK = false
 		u.Stats.Jobs++
 		u.Stats.BusyCycles += uint64(res.Cycles)
@@ -140,10 +142,10 @@ func (u *Unit) Tick(now uint64) (Result, bool) {
 				Remarks: res.Remarks,
 			})
 		}
-		return res, true
+		return res
 	}
 	if len(u.queue) == 0 {
-		return Result{}, false
+		return nil
 	}
 	// Dispatch the next request (the result is computed eagerly; the
 	// busy-until point models the one-uop-per-cycle walk latency).
@@ -164,7 +166,7 @@ func (u *Unit) Tick(now uint64) (Result, bool) {
 		cyc = 1
 	}
 	u.busyUntil = now + uint64(cyc)
-	return Result{}, false
+	return nil
 }
 
 // InitialConfidence seeds a committed line's counters: the paper uses

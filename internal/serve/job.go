@@ -154,13 +154,18 @@ func (j *job) cancelRequested() bool {
 
 // finish moves the job to a terminal state exactly once, appending the
 // final done event and releasing waiters. Returns false if the job was
-// already terminal.
-func (j *job) finish(st jobState, errMsg string, fromCache bool, manifest []byte) bool {
+// already terminal. record runs only when this call wins
+// the transition, under the job lock and before the terminal state is
+// set: a client that sees the job end — status poll, SSE done event or
+// wait:true response — and then scrapes the metrics finds it counted.
+// record must not block or take the job lock.
+func (j *job) finish(st jobState, errMsg string, fromCache bool, manifest []byte, record func()) bool {
 	j.mu.Lock()
 	if j.state.terminal() {
 		j.mu.Unlock()
 		return false
 	}
+	record()
 	j.state = st
 	j.errMsg = errMsg
 	j.fromCache = fromCache
@@ -185,17 +190,22 @@ func (j *job) finish(st jobState, errMsg string, fromCache bool, manifest []byte
 
 // complete finalizes a successful run: interval events first (so SSE
 // subscribers receive the sampled series), then the done event. False
-// means a concurrent cancellation won the terminal transition.
-func (j *job) complete(manifest []byte, res *harness.RunResult) bool {
+// means a concurrent cancellation won the terminal transition; record
+// (see finish) then does not run.
+func (j *job) complete(manifest []byte, res *harness.RunResult, record func()) bool {
 	for i := range res.Samples {
 		j.append(eventInterval, &res.Samples[i])
 	}
-	return j.finish(StateDone, "", res.FromCache, manifest)
+	return j.finish(StateDone, "", res.FromCache, manifest, record)
 }
 
-func (j *job) fail(msg string) bool { return j.finish(StateFailed, msg, false, nil) }
+func (j *job) fail(msg string, record func()) bool {
+	return j.finish(StateFailed, msg, false, nil, record)
+}
 
-func (j *job) finishCanceled() bool { return j.finish(StateCanceled, "canceled", false, nil) }
+func (j *job) finishCanceled(record func()) bool {
+	return j.finish(StateCanceled, "canceled", false, nil, record)
+}
 
 // traceID returns the job's trace id in hex ("" if untraced) — the
 // value latency exemplars and log lines carry.

@@ -467,8 +467,7 @@ func (s *Server) runLogger(j *job) *slog.Logger {
 // finishCanceled finalizes a cancellation exactly once, with the metric
 // and the lifecycle event.
 func (s *Server) finishCanceled(j *job, jlog *slog.Logger) {
-	if j.finishCanceled() {
-		s.met.canceled.Inc()
+	if j.finishCanceled(s.met.canceled.Inc) {
 		jlog.LogAttrs(context.Background(), slog.LevelInfo, "job canceled")
 	}
 }
@@ -480,8 +479,7 @@ func (s *Server) finishJob(j *job, res *harness.RunResult, err error, runWall ti
 		err = fmt.Errorf("run returned no result")
 	}
 	if err != nil {
-		if j.fail(err.Error()) {
-			s.met.failed.Inc()
+		if j.fail(err.Error(), s.met.failed.Inc) {
 			s.jobLogger(j).LogAttrs(context.Background(), slog.LevelWarn, "job failed",
 				slog.String("error", err.Error()))
 		}
@@ -491,16 +489,25 @@ func (s *Server) finishJob(j *job, res *harness.RunResult, err error, runWall ti
 	man, mErr := encodeManifest(res)
 	fspan.End()
 	if mErr != nil {
-		if j.fail(mErr.Error()) {
-			s.met.failed.Inc()
+		if j.fail(mErr.Error(), s.met.failed.Inc) {
 			s.jobLogger(j).LogAttrs(context.Background(), slog.LevelWarn, "job failed",
 				slog.String("error", mErr.Error()))
 		}
 		return
 	}
-	if !j.complete(man, res) {
+	var latency time.Duration
+	if !j.complete(man, res, func() { latency = s.recordDone(j, res, runWall) }) {
 		return
 	}
+	s.jobLogger(j).LogAttrs(context.Background(), slog.LevelInfo, "job done",
+		slog.String("config_hash", j.hash[:12]),
+		slog.Bool("from_cache", res.FromCache),
+		slog.Float64("latency_ms", latency.Seconds()*1e3))
+}
+
+// recordDone counts a completed job and observes its latency (and, for a
+// simulated run, its run wall); it returns the end-to-end latency.
+func (s *Server) recordDone(j *job, res *harness.RunResult, runWall time.Duration) time.Duration {
 	s.met.completed.Inc()
 	if s.cfg.CacheDir != "" {
 		if res.FromCache {
@@ -514,10 +521,7 @@ func (s *Server) finishJob(j *job, res *harness.RunResult, err error, runWall ti
 	}
 	latency := time.Since(j.submitted)
 	s.met.observeLatency(latency, j.traceID())
-	s.jobLogger(j).LogAttrs(context.Background(), slog.LevelInfo, "job done",
-		slog.String("config_hash", j.hash[:12]),
-		slog.Bool("from_cache", res.FromCache),
-		slog.Float64("latency_ms", latency.Seconds()*1e3))
+	return latency
 }
 
 // cancelJob requests cancellation: a queued job is finalized on the
@@ -569,10 +573,7 @@ func (s *Server) probeCache(j *job) bool {
 	if err != nil {
 		return false
 	}
-	if j.complete(man, res) {
-		s.met.cacheHits.Inc()
-		s.met.completed.Inc()
-		s.met.observeLatency(time.Since(j.submitted), j.traceID())
+	if j.complete(man, res, func() { s.recordDone(j, res, 0) }) {
 		s.jobLogger(j).LogAttrs(context.Background(), slog.LevelInfo, "job done",
 			slog.String("config_hash", j.hash[:12]),
 			slog.Bool("from_cache", true))

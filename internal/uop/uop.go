@@ -316,32 +316,54 @@ func SlotCount(us []UOp) int {
 	return n
 }
 
-// Decoder decodes macro-instructions from a program with memoization.
+// Decoder decodes a program's macro-instructions with memoization. Decoded
+// sequences are stored per instruction index, so a caller walking the
+// program in order (the functional oracle) reaches them without an
+// address lookup; see Index.
 type Decoder struct {
-	inst  func(addr uint64) (isa.Inst, bool)
-	cache map[uint64][]UOp
+	insts  []isa.Inst
+	byAddr map[uint64]int
+	uops   [][]UOp // per instruction index; nil until first decoded
 }
 
-// NewDecoder returns a Decoder reading macro-instructions via instAt
-// (typically (*asm.Program).InstAt).
-func NewDecoder(instAt func(addr uint64) (isa.Inst, bool)) *Decoder {
-	return &Decoder{inst: instAt, cache: make(map[uint64][]UOp)}
+// NewDecoder returns a Decoder over a program's instructions and its
+// address -> instruction-index map (asm.Program's Insts and ByAddr).
+func NewDecoder(insts []isa.Inst, byAddr map[uint64]int) *Decoder {
+	return &Decoder{insts: insts, byAddr: byAddr, uops: make([][]UOp, len(insts))}
 }
 
-// At returns the cached micro-op sequence for the macro-op at addr. The
-// returned slice is shared: callers that mutate uops (the SCC unit) must
-// copy first (see Clone).
-func (d *Decoder) At(addr uint64) ([]UOp, bool) {
-	if us, ok := d.cache[addr]; ok {
-		return us, true
+// Index returns the instruction index of the macro-op at addr. hint is the
+// caller's guess — the index after the previous macro-op on a fall-through
+// path, or -1 after a taken branch — and is checked before falling back to
+// the address map.
+func (d *Decoder) Index(addr uint64, hint int) (int, bool) {
+	if uint(hint) < uint(len(d.insts)) && d.insts[hint].Addr == addr {
+		return hint, true
 	}
-	in, ok := d.inst(addr)
+	i, ok := d.byAddr[addr]
+	return i, ok
+}
+
+// Uops returns the cached micro-op sequence of instruction i (an index
+// from Index). The returned slice is shared: callers that mutate uops (the
+// SCC unit) must copy first (see Clone).
+func (d *Decoder) Uops(i int) []UOp {
+	us := d.uops[i]
+	if us == nil {
+		us = Decode(d.insts[i])
+		d.uops[i] = us
+	}
+	return us
+}
+
+// At returns the cached micro-op sequence for the macro-op at addr, shared
+// as with Uops.
+func (d *Decoder) At(addr uint64) ([]UOp, bool) {
+	i, ok := d.byAddr[addr]
 	if !ok {
 		return nil, false
 	}
-	us := Decode(in)
-	d.cache[addr] = us
-	return us, true
+	return d.Uops(i), true
 }
 
 // Clone deep-copies a uop slice for safe mutation.

@@ -177,25 +177,31 @@ func TestSrcRegsHonoursImmForms(t *testing.T) {
 }
 
 func TestDecoderMemoizes(t *testing.T) {
-	in := isa.Inst{Op: isa.OpAdd, Rd: isa.R1, Rs1: isa.R2, Rs2: isa.R3, Addr: 0x1000, Len: 3}
-	calls := 0
-	d := NewDecoder(func(addr uint64) (isa.Inst, bool) {
-		calls++
-		if addr == 0x1000 {
-			return in, true
-		}
-		return isa.Inst{}, false
-	})
+	insts := []isa.Inst{
+		{Op: isa.OpAdd, Rd: isa.R1, Rs1: isa.R2, Rs2: isa.R3, Addr: 0x1000, Len: 3},
+		{Op: isa.OpAdd, Rd: isa.R4, Rs1: isa.R5, Rs2: isa.R6, Addr: 0x1003, Len: 3},
+	}
+	d := NewDecoder(insts, map[uint64]int{0x1000: 0, 0x1003: 1})
 	a, ok := d.At(0x1000)
 	b, ok2 := d.At(0x1000)
-	if !ok || !ok2 || calls != 1 {
-		t.Errorf("memoization broken: calls=%d", calls)
+	if !ok || !ok2 {
+		t.Fatal("decoded address missed")
 	}
-	if &a[0] != &b[0] {
-		t.Error("cached slices should be shared")
+	if &a[0] != &b[0] || &a[0] != &d.Uops(0)[0] {
+		t.Error("cached slices should be shared between At and Uops")
 	}
 	if _, ok := d.At(0x9999); ok {
 		t.Error("unknown address should miss")
+	}
+	// Index takes a correct hint without the map, and falls back to the
+	// map for a wrong or out-of-range one.
+	for _, hint := range []int{1, 0, -1, 2} {
+		if i, ok := d.Index(0x1003, hint); !ok || i != 1 {
+			t.Errorf("Index(0x1003, hint %d) = %d, %v", hint, i, ok)
+		}
+	}
+	if _, ok := d.Index(0x1001, 1); ok {
+		t.Error("Index of a non-instruction address should miss")
 	}
 }
 

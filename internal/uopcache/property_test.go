@@ -82,7 +82,7 @@ func TestPropertyHotnessNeverNegative(t *testing.T) {
 			p.Tick()
 		}
 		for _, l := range p.Lines() {
-			if l.Hot < 0 {
+			if p.Hot(l) < 0 {
 				t.Fatal("negative hotness")
 			}
 		}
@@ -106,7 +106,7 @@ func TestPropertySelectNeverReturnsGatedLine(t *testing.T) {
 			Streams:   uint64(rng.Intn(50)),
 		}
 		l := NewLine(pc, mkUops(1+rng.Intn(meta.OrigSlots), pc), meta)
-		l.Hot = rng.Intn(6)
+		l.hot = rng.Intn(6)
 		u.Opt.Insert(l)
 	}
 	var scratch []*Line

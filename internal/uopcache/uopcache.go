@@ -1,6 +1,7 @@
 // Package uopcache implements the micro-op cache and the paper's extensions
 // to it: separate unoptimized and optimized partitions that co-host multiple
-// versions of micro-op sequences, hotness counters with periodic decay, lock
+// versions of micro-op sequences, hotness counters with periodic decay
+// (settled lazily against a per-partition decay epoch), lock
 // bits for lines under compaction, an extended tag array holding 4-bit
 // saturating confidence counters per predicted invariant, and the
 // profitability scoring the fetch engine uses to select a stream (§III, §V).
@@ -190,11 +191,17 @@ type Line struct {
 	Uops    []uop.UOp
 	Slots   int // fused slots
 	Ways    int // way-slots consumed: ceil(Slots/UopsPerWay)
-	Hot     int // hotness counter (incremented on access, decayed periodically)
 	Locked  bool
 	Meta    *CompactMeta
 
 	lastTouch uint64
+	// hot is the hotness counter (incremented on access, decayed once per
+	// decay period) as of decay epoch hotEpoch of the partition the line
+	// is resident in; Partition.Hot settles it. A non-resident line does
+	// not decay.
+	hot      int
+	hotEpoch uint64
+	resident bool
 }
 
 // NewLine builds a line from a uop stream, computing slot and way counts.
@@ -213,7 +220,7 @@ func (l *Line) String() string {
 	if l.Meta != nil {
 		kind = fmt.Sprintf("opt(shrink=%d,conf=%d)", l.Meta.Shrinkage(l.Slots), l.Meta.SumConf())
 	}
-	return fmt.Sprintf("line@%#x %s slots=%d ways=%d hot=%d", l.EntryPC, kind, l.Slots, l.Ways, l.Hot)
+	return fmt.Sprintf("line@%#x %s slots=%d ways=%d", l.EntryPC, kind, l.Slots, l.Ways)
 }
 
 // Stats counts partition activity.
@@ -233,9 +240,14 @@ type Partition struct {
 	// optimized partition, 28 for the unoptimized one).
 	DecayPeriod int
 
-	sets     [][]*Line
-	touch    uint64
+	sets  [][]*Line
+	touch uint64
+	// decayAcc counts cycles toward the next decay; epoch counts decays
+	// so far. Tick only advances them: a resident line's hotness is
+	// brought up to date when it is next read or bumped (settle), which
+	// is equivalent to decrementing every line once per period.
 	decayAcc int
+	epoch    uint64
 	Stats    Stats
 }
 
@@ -253,6 +265,26 @@ func (p *Partition) setIndex(pc uint64) int {
 	return int((pc >> 5) % uint64(p.NumSets))
 }
 
+// settle applies the decays a resident line has missed since its hotness
+// was last settled: hot = max(0, hot - (epoch - hotEpoch)).
+func (p *Partition) settle(l *Line) {
+	if !l.resident || l.hotEpoch == p.epoch {
+		return
+	}
+	if d := p.epoch - l.hotEpoch; d >= uint64(l.hot) {
+		l.hot = 0
+	} else {
+		l.hot -= int(d)
+	}
+	l.hotEpoch = p.epoch
+}
+
+// Hot returns the line's current hotness counter.
+func (p *Partition) Hot(l *Line) int {
+	p.settle(l)
+	return l.hot
+}
+
 // Lookup returns the first line whose entry PC matches, updating hotness
 // and hit/miss stats.
 func (p *Partition) Lookup(pc uint64) *Line {
@@ -261,7 +293,8 @@ func (p *Partition) Lookup(pc uint64) *Line {
 		if l.EntryPC == pc {
 			p.touch++
 			l.lastTouch = p.touch
-			l.Hot++
+			p.settle(l)
+			l.hot++
 			p.Stats.Hits++
 			p.Stats.SlotsRead += uint64(l.Slots)
 			return l
@@ -280,7 +313,8 @@ func (p *Partition) LookupAll(pc uint64, dst []*Line) []*Line {
 		if l.EntryPC == pc {
 			p.touch++
 			l.lastTouch = p.touch
-			l.Hot++
+			p.settle(l)
+			l.hot++
 			dst = append(dst, l)
 		}
 	}
@@ -337,8 +371,8 @@ func (p *Partition) Insert(l *Line) bool {
 	// unless they have identical invariants.
 	for i, old := range set {
 		if old.EntryPC == l.EntryPC && sameVersion(old, l) && !old.Locked {
+			p.evict(old)
 			set = append(set[:i], set[i+1:]...)
-			p.Stats.Evictions++
 			break
 		}
 	}
@@ -358,15 +392,25 @@ func (p *Partition) Insert(l *Line) bool {
 			p.sets[si] = set
 			return false
 		}
+		p.evict(set[victim])
 		set = append(set[:victim], set[victim+1:]...)
-		p.Stats.Evictions++
 	}
 	p.touch++
 	l.lastTouch = p.touch
+	l.hotEpoch = p.epoch
+	l.resident = true
 	set = append(set, l)
 	p.sets[si] = set
 	p.Stats.Insertions++
 	return true
+}
+
+// evict settles a line's hotness as it leaves the partition (it does not
+// decay while non-resident) and counts the eviction.
+func (p *Partition) evict(l *Line) {
+	p.settle(l)
+	l.resident = false
+	p.Stats.Evictions++
 }
 
 // sameVersion reports whether two lines are the same logical version:
@@ -402,8 +446,8 @@ func (p *Partition) Remove(target *Line) bool {
 	set := p.sets[si]
 	for i, l := range set {
 		if l == target {
+			p.evict(l)
 			p.sets[si] = append(set[:i], set[i+1:]...)
-			p.Stats.Evictions++
 			return true
 		}
 	}
@@ -432,8 +476,9 @@ func (p *Partition) Lock(l *Line) bool {
 // Unlock clears a line's lock bit.
 func (p *Partition) Unlock(l *Line) { l.Locked = false }
 
-// Tick advances the hotness-decay clock by one cycle, decrementing every
-// line's hotness once per DecayPeriod.
+// Tick advances the hotness-decay clock by one cycle: once per DecayPeriod
+// every resident line's hotness drops by one (floored at zero), applied
+// lazily by settle.
 func (p *Partition) Tick() {
 	if p.DecayPeriod <= 0 {
 		return
@@ -443,19 +488,16 @@ func (p *Partition) Tick() {
 		return
 	}
 	p.decayAcc = 0
-	for _, set := range p.sets {
-		for _, l := range set {
-			if l.Hot > 0 {
-				l.Hot--
-			}
-		}
-	}
+	p.epoch++
 }
 
-// Lines returns all resident lines (test/diagnostic use).
+// Lines returns all resident lines, hotness settled (test/diagnostic use).
 func (p *Partition) Lines() []*Line {
 	var out []*Line
 	for _, set := range p.sets {
+		for _, l := range set {
+			p.settle(l)
+		}
 		out = append(out, set...)
 	}
 	return out
@@ -581,7 +623,7 @@ func (u *UopCache) Select(pc uint64, scratch []*Line, vpMatches func(DataInvaria
 		if m.MinConf() < u.Cfg.StreamConfThreshold {
 			continue
 		}
-		if cand.Hot < u.Cfg.StreamHotThreshold {
+		if cand.hot < u.Cfg.StreamHotThreshold { // settled by LookupAll
 			continue
 		}
 		if m.Shrinkage(cand.Slots) < u.Cfg.MinShrinkage {
