@@ -3,7 +3,8 @@ package sccsim
 // CLI flag-validation tests: bad flag values must be rejected up front
 // with a usage error (exit 2) and a pointed stderr message instead of
 // silently coercing (the runner treats negative Parallel as GOMAXPROCS,
-// which would mask a scripting typo like `-parallel -8`).
+// which would mask a scripting typo like `-parallel -8`; sccsim used to
+// run `-scc-level 9` as full SCC).
 
 import (
 	"os/exec"
@@ -24,9 +25,7 @@ func TestCLIRejectsNegativeParallel(t *testing.T) {
 	}{
 		// Each invocation would be a real (if tiny) run when valid, so a
 		// pass proves validation fires before any simulation starts.
-		{"sccsim", []string{"-parallel", "-1", "-workload", "mcf", "-max-uops", "1000"}},
 		{"sccbench", []string{"-parallel", "-1", "-experiment", "table1"}},
-		{"scctrace", []string{"-parallel", "-1", "-workload", "mcf", "-max-uops", "1000"}},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -58,7 +57,7 @@ func TestCLIRejectsInvalidLogLevel(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go toolchain not on PATH")
 	}
-	for _, tool := range []string{"sccsim", "sccbench", "scctrace", "sccdiff", "sccserve"} {
+	for _, tool := range []string{"sccsim", "sccbench", "sccdiff", "sccserve"} {
 		tool := tool
 		t.Run(tool, func(t *testing.T) {
 			t.Parallel()
@@ -72,6 +71,50 @@ func TestCLIRejectsInvalidLogLevel(t *testing.T) {
 			if !strings.Contains(string(out), "unknown log level") ||
 				!strings.Contains(string(out), "debug|info|warn|error") {
 				t.Errorf("%s stderr does not name the valid log levels:\n%s", tool, out)
+			}
+		})
+	}
+}
+
+// TestCLIRejectsOutOfRangeSimFlags covers sccsim's range checks: each
+// invocation would be a real run if accepted, and must instead be a usage
+// error (exit 2) whose message names the flag and what it accepts.
+func TestCLIRejectsOutOfRangeSimFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping CLI builds in -short mode")
+	}
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("go toolchain not on PATH")
+	}
+	run := []string{"-workload", "mcf", "-max-uops", "1000"}
+	cases := []struct {
+		name string
+		args []string
+		msg  string
+	}{
+		{"scc-level-9", []string{"-enable-superoptimization", "-scc-level", "9"}, "-scc-level must be in 0..5"},
+		{"scc-level-neg", []string{"-enable-superoptimization", "-scc-level", "-3"}, "-scc-level must be in 0..5"},
+		{"top-neg", []string{"-enable-superoptimization", "-top", "-1"}, `invalid value "-1" for flag -top`},
+		// -top reads the SCC unit's optimized partition, which only
+		// levels >= 2 of the SCC machine with optimized sets have.
+		{"top-baseline", []string{"-top", "3"}, "-top needs the SCC unit"},
+		{"top-scc-level-1", []string{"-enable-superoptimization", "-scc-level", "1", "-top", "3"}, "-top needs the SCC unit"},
+		{"top-no-opt-partition", []string{"-enable-superoptimization", "-specCacheNumSets", "0", "-top", "3"}, "-top needs the SCC unit"},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			args := append([]string{"run", "./cmd/sccsim"}, append(tc.args, run...)...)
+			out, err := exec.Command("go", args...).CombinedOutput()
+			if err == nil {
+				t.Fatalf("sccsim accepted %v:\n%s", tc.args, out)
+			}
+			if !strings.Contains(string(out), "exit status 2") {
+				t.Errorf("sccsim %v did not exit with usage error 2:\n%s", tc.args, out)
+			}
+			if !strings.Contains(string(out), tc.msg) {
+				t.Errorf("sccsim %v stderr missing %q:\n%s", tc.args, tc.msg, out)
 			}
 		})
 	}

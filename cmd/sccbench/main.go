@@ -25,6 +25,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -33,78 +34,45 @@ import (
 	"time"
 
 	"sccsim"
+	"sccsim/internal/cli"
 	"sccsim/internal/harness"
 	"sccsim/internal/obs"
-	"sccsim/internal/telemetry"
 	"sccsim/internal/tracing"
 	"sccsim/internal/workloads"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(common.Run(run)) }
 
-func run() int {
-	var (
-		experiment = flag.String("experiment", "all",
-			"table1 | fig6 | fig7 | fig8 | fig9 | fig10 | fig11 | overhead | ext | simpoint | loadgen | all, or a comma-separated list (all excludes simpoint and loadgen)")
-		maxUops  = flag.Uint64("max-uops", 0, "interval length override in micro-ops (0 = workload defaults)")
-		subset   = flag.String("workloads", "", "comma-separated workload subset (default: all 19)")
-		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0),
-			"simulation runs in flight at once (1 = serial)")
+var (
+	common = cli.New("sccbench", "warn").WithMetricsDump().WithProfiles("harness")
 
-		serveURL = flag.String("serve-url", "",
-			"loadgen target sccserve base URL (default: spawn an in-process server)")
-		lgRequests = flag.Int("loadgen-requests", 200,
-			"total requests the loadgen experiment issues (repeats included)")
-		lgConcurrency = flag.Int("loadgen-concurrency", 16,
-			"concurrent in-flight loadgen requests")
+	experiment = flag.String("experiment", "all",
+		"table1 | fig6 | fig7 | fig8 | fig9 | fig10 | fig11 | overhead | ext | simpoint | loadgen | all, or a comma-separated list (all excludes simpoint and loadgen)")
+	maxUops  = flag.Uint64("max-uops", 0, "interval length override in micro-ops (0 = workload defaults)")
+	subset   = flag.String("workloads", "", "comma-separated workload subset (default: all 19)")
+	parallel = flag.Int("parallel", runtime.GOMAXPROCS(0),
+		"simulation runs in flight at once (1 = serial)")
 
-		jsonDir    = flag.String("json", "", "write one JSON manifest per run (plus index.json) into this directory")
-		traceOut   = flag.String("trace-out", "", "write the sweeps' span trees as OTLP-compatible JSON to this path (one root span per sweep, one child per scheduled run)")
-		cacheDir   = flag.String("cache", "", "result-cache directory: reuse matching manifests instead of re-simulating, write back misses (any -json output directory works)")
-		tracePath  = flag.String("trace", "", "write a Chrome trace-event (Perfetto) file of the sweeps to this path")
-		sampleIv   = flag.Uint64("sample-interval", 10_000, "telemetry sampling interval in committed uops (with -json/-trace)")
-		progress   = flag.Bool("progress", false, "live sweep progress line (n/total, ETA) on stderr")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the harness to this path")
-		memProfile = flag.String("memprofile", "", "write a heap profile of the harness to this path")
-		version    = flag.Bool("version", false, "print the simulator version and exit")
+	serveURL = flag.String("serve-url", "",
+		"loadgen target sccserve base URL (default: spawn an in-process server)")
+	lgRequests = flag.Int("loadgen-requests", 200,
+		"total requests the loadgen experiment issues (repeats included)")
+	lgConcurrency = flag.Int("loadgen-concurrency", 16,
+		"concurrent in-flight loadgen requests")
 
-		logLevel    = flag.String("log-level", "warn", "structured log threshold on stderr: "+telemetry.LogLevels)
-		logFormat   = flag.String("log-format", "text", "structured log encoding: "+telemetry.LogFormats)
-		metricsDump = flag.String("metrics-dump", "", "write the Prometheus metrics exposition to this path at exit (\"-\" = stdout)")
-	)
-	flag.Parse()
+	jsonDir   = flag.String("json", "", "write one JSON manifest per run (plus index.json) into this directory")
+	traceOut  = flag.String("trace-out", "", "write the sweeps' span trees as OTLP-compatible JSON to this path (one root span per sweep, one child per scheduled run)")
+	cacheDir  = flag.String("cache", "", "result-cache directory: reuse matching manifests instead of re-simulating, write back misses (any -json output directory works)")
+	tracePath = flag.String("trace", "", "write a Chrome trace-event (Perfetto) file of the sweeps to this path")
+	sampleIv  = flag.Uint64("sample-interval", 10_000, "telemetry sampling interval in committed uops (with -json/-trace)")
+	progress  = flag.Bool("progress", false, "live sweep progress line (n/total, ETA) on stderr")
+)
 
-	if *version {
-		fmt.Println(obs.VersionString("sccbench"))
-		return 0
-	}
+func run(logger *slog.Logger) int {
 	if *parallel < 0 {
 		fmt.Fprintf(os.Stderr, "sccbench: -parallel must be >= 0 (0 = GOMAXPROCS), got %d\n", *parallel)
 		return 2
 	}
-	logger, err := telemetry.NewLogger(os.Stderr, *logLevel, *logFormat)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sccbench: %v\n", err)
-		return 2
-	}
-	defer func() {
-		if *metricsDump != "" {
-			if err := telemetry.DumpMetrics(*metricsDump, telemetry.Default()); err != nil {
-				fmt.Fprintf(os.Stderr, "sccbench: %v\n", err)
-			}
-		}
-	}()
-
-	stopProfiles, err := obs.StartProfiles(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sccbench: %v\n", err)
-		return 1
-	}
-	defer func() {
-		if err := stopProfiles(); err != nil {
-			fmt.Fprintf(os.Stderr, "sccbench: %v\n", err)
-		}
-	}()
 
 	opts := sccsim.Options{MaxUops: *maxUops, Parallel: *parallel, Logger: logger}
 	if *subset != "" {
@@ -125,8 +93,7 @@ func run() int {
 	}
 	if *jsonDir != "" {
 		if err := os.MkdirAll(*jsonDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "sccbench: %v\n", err)
-			return 1
+			return common.Fail(err)
 		}
 	}
 
@@ -279,8 +246,7 @@ func run() int {
 	if spanTracer != nil {
 		spanTracer.Finish()
 		if err := tracing.WriteOTLPFile(*traceOut, "sccbench", spanTracer.Spans()); err != nil {
-			fmt.Fprintf(os.Stderr, "sccbench: %v\n", err)
-			return 1
+			return common.Fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "sccbench: wrote span trace %s (trace id %s)\n",
 			*traceOut, spanTracer.TraceID())
@@ -334,14 +300,7 @@ func (a *artifacts) finish(name string, sum *sccsim.SweepSummary) error {
 	for _, i := range idxs {
 		r := a.results[i]
 		man := r.Manifest()
-		if i < len(sum.Jobs) {
-			js := sum.Jobs[i]
-			man.Timing = &obs.Timing{
-				WallMS:     js.Wall.Seconds() * 1e3,
-				UopsPerSec: js.UopsPerSec(),
-				Workers:    sum.Workers,
-			}
-		}
+		man.Timing = obs.JobTiming(sum, i)
 		// Content-addressed name: identical (workload, config) runs from
 		// different experiments produce identical stats, so overwriting
 		// is idempotent by construction.
@@ -358,16 +317,14 @@ func (a *artifacts) finish(name string, sum *sccsim.SweepSummary) error {
 func (a *artifacts) flush(tracePath string) int {
 	if a.jsonDir != "" {
 		if err := a.index.WriteFile(filepath.Join(a.jsonDir, "index.json")); err != nil {
-			fmt.Fprintf(os.Stderr, "sccbench: %v\n", err)
-			return 1
+			return common.Fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "sccbench: wrote %d manifests + index.json to %s\n",
 			len(a.index.Entries), a.jsonDir)
 	}
 	if tracePath != "" {
 		if err := a.trace.WriteFile(tracePath); err != nil {
-			fmt.Fprintf(os.Stderr, "sccbench: %v\n", err)
-			return 1
+			return common.Fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "sccbench: wrote trace %s (open at ui.perfetto.dev)\n", tracePath)
 	}

@@ -27,11 +27,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 
+	"sccsim/internal/cli"
 	"sccsim/internal/explain"
 	"sccsim/internal/obs"
-	"sccsim/internal/telemetry"
 )
 
 // entryExplanation is one key's attribution in the -format json output:
@@ -44,58 +45,50 @@ type entryExplanation struct {
 }
 
 func main() {
-	def := obs.DefaultThresholds()
-	var (
-		ipcDrop = flag.Float64("ipc-drop", def.IPCDrop,
-			"max tolerated relative IPC decrease (0.05 = -5%)")
-		elimDrop = flag.Float64("elim-drop", def.ElimDrop,
-			"max tolerated absolute dynamic_uop_reduction decrease")
-		energyRise = flag.Float64("energy-rise", def.EnergyRise,
-			"max tolerated relative energy_j increase")
-		format     = flag.String("format", "text", "output format: text | markdown | json")
-		verbose    = flag.Bool("v", false, "print all matched entries, not just regressions")
-		explainReg = flag.Bool("explain", false, "attribute every regressed entry via the manifests behind it (CPI stack, transforms, interval divergence)")
-		explainAll = flag.Bool("explain-all", false, "like -explain, but for every matched entry")
-		strict     = flag.Bool("strict", false, "exit 1 when base entries are missing from new (baseline-coverage loss)")
-		version    = flag.Bool("version", false, "print the simulator version and exit")
-
-		logLevel    = flag.String("log-level", "warn", "structured log threshold on stderr: "+telemetry.LogLevels)
-		logFormat   = flag.String("log-format", "text", "structured log encoding: "+telemetry.LogFormats)
-		metricsDump = flag.String("metrics-dump", "", "write the Prometheus metrics exposition to this path at exit (\"-\" = stdout)")
-	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: sccdiff [flags] <base-index> <new-index>\n")
 		fmt.Fprintf(os.Stderr, "  each argument is an index JSON file or a manifest directory\n\n")
 		flag.PrintDefaults()
 	}
-	flag.Parse()
-	if *version {
-		fmt.Println(obs.VersionString("sccdiff"))
-		os.Exit(0)
-	}
+	os.Exit(common.Run(run))
+}
+
+var (
+	common = cli.New("sccdiff", "warn").WithMetricsDump()
+	def    = obs.DefaultThresholds()
+
+	ipcDrop = flag.Float64("ipc-drop", def.IPCDrop,
+		"max tolerated relative IPC decrease (0.05 = -5%)")
+	elimDrop = flag.Float64("elim-drop", def.ElimDrop,
+		"max tolerated absolute dynamic_uop_reduction decrease")
+	energyRise = flag.Float64("energy-rise", def.EnergyRise,
+		"max tolerated relative energy_j increase")
+	format     = flag.String("format", "text", "output format: text | markdown | json")
+	verbose    = flag.Bool("v", false, "print all matched entries, not just regressions")
+	explainReg = flag.Bool("explain", false, "attribute every regressed entry via the manifests behind it (CPI stack, transforms, interval divergence)")
+	explainAll = flag.Bool("explain-all", false, "like -explain, but for every matched entry")
+	strict     = flag.Bool("strict", false, "exit 1 when base entries are missing from new (baseline-coverage loss)")
+)
+
+func run(logger *slog.Logger) int {
 	if *format != "text" && *format != "markdown" && *format != "json" {
 		fmt.Fprintf(os.Stderr, "sccdiff: unknown -format %q (text | markdown | json)\n", *format)
-		os.Exit(2)
-	}
-	logger, err := telemetry.NewLogger(os.Stderr, *logLevel, *logFormat)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sccdiff: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
 	if flag.NArg() != 2 {
 		flag.Usage()
-		os.Exit(2)
+		return 2
 	}
 
 	base, err := obs.LoadIndex(flag.Arg(0))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sccdiff: base: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
 	cur, err := obs.LoadIndex(flag.Arg(1))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sccdiff: new: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
 	logger.Debug("indexes loaded",
 		"base", flag.Arg(0), "base_entries", len(base.Entries),
@@ -153,10 +146,9 @@ func main() {
 		if rep.Regressions > 0 {
 			logger.Warn("metric regressions found", "regressions", rep.Regressions)
 		}
-		dumpMetrics(*metricsDump)
-		os.Exit(1)
+		return 1
 	}
-	dumpMetrics(*metricsDump)
+	return 0
 }
 
 // explainEntries attributes the regressed (or, with all, every matched)
@@ -202,15 +194,4 @@ func plural(n int, one, many string) string {
 		return one
 	}
 	return many
-}
-
-// dumpMetrics writes the -metrics-dump exposition; sccdiff exits via
-// os.Exit so defers cannot run it.
-func dumpMetrics(path string) {
-	if path == "" {
-		return
-	}
-	if err := telemetry.DumpMetrics(path, telemetry.Default()); err != nil {
-		fmt.Fprintf(os.Stderr, "sccdiff: %v\n", err)
-	}
 }

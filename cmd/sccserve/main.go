@@ -24,6 +24,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -32,44 +33,37 @@ import (
 	"syscall"
 	"time"
 
-	"sccsim/internal/obs"
+	"sccsim/internal/cli"
 	"sccsim/internal/serve"
 	"sccsim/internal/telemetry"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(common.Run(run)) }
 
-func run() int {
-	var (
-		addr = flag.String("addr", "127.0.0.1:8344",
-			"listen address (host:port; port 0 picks a free port)")
-		cacheDir = flag.String("cache", "",
-			"result-cache directory: repeated configs are served without re-simulating (any sccbench -json directory works)")
-		workers = flag.Int("workers", 0, "simulation worker-pool size (0 = GOMAXPROCS)")
-		queue   = flag.Int("queue", serve.DefaultQueueDepth,
-			"admission queue depth; submissions beyond it get 429 + Retry-After")
-		maxUopsCap = flag.Uint64("max-uops-cap", serve.DefaultMaxUopsCap,
-			"reject jobs whose effective work budget exceeds this many micro-ops")
-		drainTimeout = flag.Duration("drain-timeout", 30*time.Second,
-			"how long SIGINT/SIGTERM waits for in-flight jobs before aborting them")
-		addrFile = flag.String("addr-file", "",
-			"write the bound listen address to this file once serving (for scripts using port 0)")
-		smoke      = flag.Bool("smoke", false, "run the self-contained service smoke sequence and exit")
-		version    = flag.Bool("version", false, "print the simulator version and exit")
-		debugPprof = flag.Bool("debug-pprof", false,
-			"expose net/http/pprof profiling handlers under /debug/pprof/ (off by default; enables live CPU/heap/goroutine profiling)")
+var (
+	common = cli.New("sccserve", "info")
 
-		logLevel  = flag.String("log-level", "info", "structured log threshold on stderr: "+telemetry.LogLevels)
-		logFormat = flag.String("log-format", "text", "structured log encoding: "+telemetry.LogFormats)
-		flightCap = flag.Int("flight-capacity", telemetry.DefaultFlightCapacity,
-			"flight-recorder ring size (recent events served at /debug/flight and dumped on SIGQUIT)")
-	)
-	flag.Parse()
+	addr = flag.String("addr", "127.0.0.1:8344",
+		"listen address (host:port; port 0 picks a free port)")
+	cacheDir = flag.String("cache", "",
+		"result-cache directory: repeated configs are served without re-simulating (any sccbench -json directory works)")
+	workers = flag.Int("workers", 0, "simulation worker-pool size (0 = GOMAXPROCS)")
+	queue   = flag.Int("queue", serve.DefaultQueueDepth,
+		"admission queue depth; submissions beyond it get 429 + Retry-After")
+	maxUopsCap = flag.Uint64("max-uops-cap", serve.DefaultMaxUopsCap,
+		"reject jobs whose effective work budget exceeds this many micro-ops")
+	drainTimeout = flag.Duration("drain-timeout", 30*time.Second,
+		"how long SIGINT/SIGTERM waits for in-flight jobs before aborting them")
+	addrFile = flag.String("addr-file", "",
+		"write the bound listen address to this file once serving (for scripts using port 0)")
+	smokeOnly  = flag.Bool("smoke", false, "run the self-contained service smoke sequence and exit")
+	debugPprof = flag.Bool("debug-pprof", false,
+		"expose net/http/pprof profiling handlers under /debug/pprof/ (off by default; enables live CPU/heap/goroutine profiling)")
+	flightCap = flag.Int("flight-capacity", telemetry.DefaultFlightCapacity,
+		"flight-recorder ring size (recent events served at /debug/flight and dumped on SIGQUIT)")
+)
 
-	if *version {
-		fmt.Println(obs.VersionString("sccserve"))
-		return 0
-	}
+func run(logger *slog.Logger) int {
 	if *queue < 1 {
 		fmt.Fprintf(os.Stderr, "sccserve: -queue must be >= 1, got %d\n", *queue)
 		return 2
@@ -82,12 +76,7 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "sccserve: -flight-capacity must be >= 1, got %d\n", *flightCap)
 		return 2
 	}
-	logger, err := telemetry.NewLogger(os.Stderr, *logLevel, *logFormat)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sccserve: %v\n", err)
-		return 2
-	}
-	if *smoke {
+	if *smokeOnly {
 		return runSmoke(*workers, *queue)
 	}
 
@@ -113,8 +102,7 @@ func run() int {
 	}()
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sccserve: %v\n", err)
-		return 1
+		return common.Fail(err)
 	}
 	bound := ln.Addr().String()
 	fmt.Fprintf(os.Stderr, "sccserve: listening on http://%s\n", bound)
@@ -123,8 +111,7 @@ func run() int {
 	}
 	if *addrFile != "" {
 		if err := os.WriteFile(*addrFile, []byte(bound+"\n"), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "sccserve: %v\n", err)
-			return 1
+			return common.Fail(err)
 		}
 	}
 
@@ -152,8 +139,7 @@ func run() int {
 	defer stop()
 	select {
 	case err := <-errCh:
-		fmt.Fprintf(os.Stderr, "sccserve: %v\n", err)
-		return 1
+		return common.Fail(err)
 	case <-ctx.Done():
 	}
 	stop()

@@ -8,92 +8,74 @@
 //	sccsim -workload xalancbmk -enable-superoptimization
 //	sccsim -program my.uxa -enable-superoptimization -lvpred h3vp
 //	sccsim -workload mcf -json run.json -trace run.trace
+//	sccsim -workload gcc -enable-superoptimization -top 5
 //	sccsim -list
 //
 // -json writes the machine-readable run manifest (config, stats, energy,
 // interval-sampled telemetry); -trace writes a Chrome trace-event file
 // viewable in Perfetto. Either flag enables interval sampling (every
-// -sample-interval committed uops). -cpuprofile/-memprofile profile the
-// simulator itself.
+// -sample-interval committed uops). -top N follows the report with the
+// SCC unit's summary and its N most-streamed resident compacted lines.
+// -cpuprofile/-memprofile profile the simulator itself.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
-	"runtime"
+	"sort"
 
 	"sccsim"
 	"sccsim/internal/asm"
+	"sccsim/internal/cli"
 	"sccsim/internal/harness"
 	"sccsim/internal/obs"
 	"sccsim/internal/runner"
 	"sccsim/internal/scc"
 	"sccsim/internal/stats"
-	"sccsim/internal/telemetry"
 	"sccsim/internal/tracing"
+	"sccsim/internal/uopcache"
 	"sccsim/internal/workloads"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(common.Run(run)) }
 
-func run() int {
-	var (
-		workload = flag.String("workload", "", "built-in workload name (see -list)")
-		program  = flag.String("program", "", "path to a UXA assembly file to run instead")
-		list     = flag.Bool("list", false, "list built-in workloads and exit")
-		enable   = flag.Bool("enable-superoptimization", false, "enable SCC (full level)")
-		level    = flag.Int("scc-level", int(scc.LevelFull), "SCC optimization level 0..5 (with -enable-superoptimization)")
-		lvpred   = flag.String("lvpred", "eves", "value predictor: eves | h3vp | lastvalue")
-		confThr  = flag.Int("predictionConfidenceThreshold", 5, "min VP confidence for data invariants")
-		optSets  = flag.Int("specCacheNumSets", 24, "optimized-partition sets (of 48 total)")
-		width    = flag.Int("const-width", 64, "inlined-constant width in bits (8/16/32/64)")
-		maxUops  = flag.Uint64("max-uops", 0, "program-work budget in micro-ops (0 = workload default)")
-		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0),
-			"sweep worker count for library Options plumbing (a single run uses one)")
-		verbose = flag.Bool("v", false, "print the full counter dump")
+var (
+	common = cli.New("sccsim", "warn").WithMetricsDump().WithProfiles("simulator")
 
-		version   = flag.Bool("version", false, "print the simulator version and exit")
-		jsonPath  = flag.String("json", "", "write the JSON run manifest to this path")
-		optReport = flag.String("optreport", "", "write the SCC optimization report to this path (\"-\" = stdout text, .json = JSON)")
-		tracePath = flag.String("trace", "", "write a Chrome trace-event (Perfetto) file to this path")
-		pipeview  = flag.String("pipeview", "", "write a per-uop pipeline lifecycle trace (gem5 O3PipeView format, opens in Konata) to this path")
-		pipeviewN = flag.Int("pipeview-limit", obs.DefaultPipeTraceLimit,
-			"retain the last N micro-ops in the -pipeview trace")
-		traceOut   = flag.String("trace-out", "", "write the run's span tree as OTLP-compatible JSON to this path")
-		sampleIv   = flag.Uint64("sample-interval", 10_000, "telemetry sampling interval in committed uops (with -json/-trace)")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the simulator to this path")
-		memProfile = flag.String("memprofile", "", "write a heap profile of the simulator to this path")
+	workload = flag.String("workload", "", "built-in workload name (see -list)")
+	program  = flag.String("program", "", "path to a UXA assembly file to run instead")
+	list     = flag.Bool("list", false, "list built-in workloads and exit")
+	enable   = flag.Bool("enable-superoptimization", false, "enable SCC (full level)")
+	level    = flag.Int("scc-level", int(scc.LevelFull), "SCC optimization level 0..5 (with -enable-superoptimization)")
+	lvpred   = flag.String("lvpred", "eves", "value predictor: eves | h3vp | lastvalue")
+	confThr  = flag.Int("predictionConfidenceThreshold", 5, "min VP confidence for data invariants")
+	optSets  = flag.Int("specCacheNumSets", 24, "optimized-partition sets (of 48 total)")
+	width    = flag.Int("const-width", 64, "inlined-constant width in bits (8/16/32/64)")
+	maxUops  = flag.Uint64("max-uops", 0, "program-work budget in micro-ops (0 = workload default)")
+	verbose  = flag.Bool("v", false, "print the full counter dump")
+	top      = flag.Uint("top", 0, "after the run, print the SCC unit summary and the N most-streamed compacted lines (0 = off)")
 
-		logLevel    = flag.String("log-level", "warn", "structured log threshold on stderr: "+telemetry.LogLevels)
-		logFormat   = flag.String("log-format", "text", "structured log encoding: "+telemetry.LogFormats)
-		metricsDump = flag.String("metrics-dump", "", "write the Prometheus metrics exposition to this path at exit (\"-\" = stdout)")
-	)
-	flag.Parse()
+	jsonPath  = flag.String("json", "", "write the JSON run manifest to this path")
+	optReport = flag.String("optreport", "", "write the SCC optimization report to this path (\"-\" = stdout text, .json = JSON)")
+	tracePath = flag.String("trace", "", "write a Chrome trace-event (Perfetto) file to this path")
+	pipeview  = flag.String("pipeview", "", "write a per-uop pipeline lifecycle trace (gem5 O3PipeView format, opens in Konata) to this path")
+	pipeviewN = flag.Int("pipeview-limit", obs.DefaultPipeTraceLimit,
+		"retain the last N micro-ops in the -pipeview trace")
+	traceOut = flag.String("trace-out", "", "write the run's span tree as OTLP-compatible JSON to this path")
+	sampleIv = flag.Uint64("sample-interval", 10_000, "telemetry sampling interval in committed uops (with -json/-trace)")
+)
 
-	if *version {
-		fmt.Println(obs.VersionString("sccsim"))
-		return 0
-	}
-	logger, err := telemetry.NewLogger(os.Stderr, *logLevel, *logFormat)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sccsim: %v\n", err)
-		return 2
-	}
-	defer func() {
-		if *metricsDump != "" {
-			if err := telemetry.DumpMetrics(*metricsDump, telemetry.Default()); err != nil {
-				fmt.Fprintf(os.Stderr, "sccsim: %v\n", err)
-			}
-		}
-	}()
+func run(logger *slog.Logger) int {
 	if *pipeview != "" && *pipeviewN <= 0 {
 		fmt.Fprintf(os.Stderr, "sccsim: -pipeview-limit must be positive (got %d)\n", *pipeviewN)
 		return 2
 	}
-	if *parallel < 0 {
-		fmt.Fprintf(os.Stderr, "sccsim: -parallel must be >= 0 (0 = GOMAXPROCS), got %d\n", *parallel)
+	if *level < int(scc.LevelBaseline) || *level > int(scc.LevelFull) {
+		fmt.Fprintf(os.Stderr, "sccsim: -scc-level must be in %d..%d, got %d\n",
+			scc.LevelBaseline, scc.LevelFull, *level)
 		return 2
 	}
 
@@ -103,17 +85,6 @@ func run() int {
 		}
 		return 0
 	}
-
-	stopProfiles, err := obs.StartProfiles(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sccsim: %v\n", err)
-		return 1
-	}
-	defer func() {
-		if err := stopProfiles(); err != nil {
-			fmt.Fprintf(os.Stderr, "sccsim: %v\n", err)
-		}
-	}()
 
 	cfg := sccsim.BaselineConfig()
 	if *enable {
@@ -125,8 +96,12 @@ func run() int {
 	} else {
 		cfg = cfg.WithValuePredictor(*lvpred)
 	}
+	if *top > 0 && (!cfg.SCCEnabled || cfg.UC.OptSets == 0) {
+		fmt.Fprintln(os.Stderr, "sccsim: -top needs the SCC unit and its optimized partition (-enable-superoptimization, -scc-level >= 2, -specCacheNumSets >= 1)")
+		return 2
+	}
 
-	opts := sccsim.Options{MaxUops: *maxUops, Parallel: *parallel, Logger: logger}
+	opts := sccsim.Options{MaxUops: *maxUops, Logger: logger}
 	if *jsonPath != "" || *tracePath != "" {
 		opts.SampleEvery = *sampleIv
 	}
@@ -134,7 +109,14 @@ func run() int {
 	var tracer *obs.PipeTracer
 	if *pipeview != "" {
 		tracer = obs.NewPipeTracer(*pipeviewN)
-		opts.Observe = tracer.Attach
+	}
+	// m is the run's machine, kept for -top to read after the run.
+	var m *sccsim.Machine
+	opts.Observe = func(pm *sccsim.Machine) {
+		m = pm
+		if tracer != nil {
+			tracer.Attach(pm)
+		}
 	}
 	var spanTracer *tracing.Tracer
 	if *traceOut != "" {
@@ -144,6 +126,7 @@ func run() int {
 	}
 	var res *harness.RunResult
 	var sum *runner.Summary
+	var err error
 	switch {
 	case *program != "":
 		res, sum, err = runFile(cfg, *program, opts)
@@ -159,29 +142,29 @@ func run() int {
 		return 2
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sccsim: %v\n", err)
-		return 1
+		return common.Fail(err)
 	}
 	report(res, *verbose)
+	if *top > 0 {
+		fmt.Println()
+		reportTop(res, m.UC.Opt, int(*top))
+	}
 	var spans []tracing.SpanData
 	if spanTracer != nil {
 		spanTracer.Finish()
 		spans = spanTracer.Spans()
 		if err := tracing.WriteOTLPFile(*traceOut, "sccsim", spans); err != nil {
-			fmt.Fprintf(os.Stderr, "sccsim: %v\n", err)
-			return 1
+			return common.Fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "sccsim: wrote span trace %s (trace id %s)\n",
 			*traceOut, spanTracer.TraceID())
 	}
 	if err := writeArtifacts(res, sum, *jsonPath, *tracePath, spans); err != nil {
-		fmt.Fprintf(os.Stderr, "sccsim: %v\n", err)
-		return 1
+		return common.Fail(err)
 	}
 	if *optReport != "" && res.OptReport != nil {
 		if err := obs.WriteOptReport(res.OptReport, *optReport); err != nil {
-			fmt.Fprintf(os.Stderr, "sccsim: %v\n", err)
-			return 1
+			return common.Fail(err)
 		}
 		if *optReport != "-" {
 			fmt.Fprintf(os.Stderr, "sccsim: wrote opt-report %s (%d lines, %d squash records)\n",
@@ -190,8 +173,7 @@ func run() int {
 	}
 	if tracer != nil {
 		if err := tracer.WriteFile(*pipeview); err != nil {
-			fmt.Fprintf(os.Stderr, "sccsim: %v\n", err)
-			return 1
+			return common.Fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "sccsim: wrote pipeline trace %s (%d of %d uops retained; open in Konata)\n",
 			*pipeview, tracer.Total()-tracer.Dropped(), tracer.Total())
@@ -205,14 +187,7 @@ func run() int {
 func writeArtifacts(res *harness.RunResult, sum *runner.Summary, jsonPath, tracePath string, spans []tracing.SpanData) error {
 	if jsonPath != "" {
 		man := res.Manifest()
-		if sum != nil && len(sum.Jobs) > 0 {
-			js := sum.Jobs[0]
-			man.Timing = &obs.Timing{
-				WallMS:     js.Wall.Seconds() * 1e3,
-				UopsPerSec: js.UopsPerSec(),
-				Workers:    sum.Workers,
-			}
-		}
+		man.Timing = obs.JobTiming(sum, 0)
 		if err := man.WriteFile(jsonPath); err != nil {
 			return err
 		}
@@ -283,4 +258,59 @@ func report(res *harness.RunResult, verbose bool) {
 		fmt.Printf("\nfull counters: %+v\n", *st)
 		fmt.Printf("cache activity: %+v\n", res.Mem)
 	}
+}
+
+// reportTop prints the SCC unit's summary and the n most-streamed
+// compacted lines resident in the optimized partition opt.
+func reportTop(res *harness.RunResult, opt *uopcache.Partition, n int) {
+	st, u := res.Stats, res.Unit
+	fmt.Printf("workload %s: %d cycles, %d committed uops, %d eliminated (%.1f%%)\n",
+		res.Workload, st.Cycles, st.CommittedUops, st.EliminatedUops(),
+		st.DynamicUopReduction()*100)
+	fmt.Printf("unit: %d requests (%d rejected), %d jobs -> %d committed, %d discarded, %d aborted\n",
+		u.Requests, u.Rejected, u.Jobs, u.Committed, u.Discarded, u.Aborted)
+	fmt.Printf("      %d moves, %d folds, %d branches eliminated; %d operands propagated\n",
+		u.ElimMove, u.ElimFold, u.ElimBranch, u.Propagated)
+	fmt.Printf("      %d data + %d control invariants identified; busy %d cycles\n",
+		u.DataInvariants, u.CtrlInvariants, u.BusyCycles)
+	fmt.Printf("streaming: %d validated streams, %d violations, %d uops squashed\n\n",
+		st.OptStreams, st.InvariantViolations, st.SquashedUops)
+
+	lines := opt.Lines()
+	sort.Slice(lines, func(i, j int) bool {
+		return lines[i].Meta.Streams > lines[j].Meta.Streams
+	})
+	if len(lines) > n {
+		fmt.Printf("showing the %d most-streamed of %d resident compacted lines\n\n", n, len(lines))
+		lines = lines[:n]
+	}
+	for _, l := range lines {
+		dumpLine(l, opt.Hot(l))
+	}
+}
+
+func dumpLine(l *uopcache.Line, hot int) {
+	m := l.Meta
+	fmt.Printf("line @ %#x: %d slots (from %d; shrinkage %d), streamed %d times, %d squashes, hot %d\n",
+		l.EntryPC, l.Slots, m.OrigSlots, m.Shrinkage(l.Slots), m.Streams, m.Squashes, hot)
+	fmt.Printf("  eliminated here: %d moves, %d folds, %d branches; %d propagated; resumes at %#x\n",
+		m.ElimMove, m.ElimFold, m.ElimBranch, m.Propagated, m.EndPC)
+	for i := range l.Uops {
+		fmt.Printf("  %2d: %v\n", i, &l.Uops[i])
+	}
+	for _, d := range m.DataInv {
+		fmt.Printf("  data invariant  pc=%#x value=%-12d conf=%d/15\n", d.PC, d.Value, d.Conf)
+	}
+	for _, ci := range m.CtrlInv {
+		fmt.Printf("  ctrl invariant  pc=%#x taken=%-5v target=%#x conf=%d/15\n",
+			ci.PC, ci.Taken, ci.Target, ci.Conf)
+	}
+	if len(m.LiveOuts) > 0 {
+		fmt.Printf("  live-outs:")
+		for _, lo := range m.LiveOuts {
+			fmt.Printf(" %s=%d", lo.Reg, lo.Value)
+		}
+		fmt.Println()
+	}
+	fmt.Println()
 }

@@ -163,7 +163,7 @@ func (o Options) ctx() context.Context {
 
 // Prepare builds the machine for one (workload, configuration) run:
 // it applies the work budget and seeds workload memory. This is the
-// single setup path shared by the harness and all three CLIs.
+// single setup path shared by the harness and the library API.
 func Prepare(cfg pipeline.Config, w workloads.Workload, opts Options) (*pipeline.Machine, error) {
 	cfg.MaxUops = opts.maxUops(w)
 	m, err := pipeline.New(cfg, w.Program())

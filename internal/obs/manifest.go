@@ -11,6 +11,7 @@ import (
 
 	"sccsim/internal/pipeline"
 	"sccsim/internal/power"
+	"sccsim/internal/runner"
 	"sccsim/internal/scc"
 	"sccsim/internal/stats"
 )
@@ -114,6 +115,20 @@ type Timing struct {
 	WallMS     float64 `json:"wall_ms"`
 	UopsPerSec float64 `json:"uops_per_sec"`
 	Workers    int     `json:"workers,omitempty"`
+}
+
+// JobTiming builds the Timing block of job i from its sweep's summary;
+// nil when the summary does not cover that job.
+func JobTiming(sum *runner.Summary, i int) *Timing {
+	if sum == nil || i >= len(sum.Jobs) {
+		return nil
+	}
+	js := sum.Jobs[i]
+	return &Timing{
+		WallMS:     js.Wall.Seconds() * 1e3,
+		UopsPerSec: js.UopsPerSec(),
+		Workers:    sum.Workers,
+	}
 }
 
 // NewManifest assembles the manifest for one finished run. The config

@@ -11,7 +11,7 @@ import (
 // profile at memPath; either (or both) may be "" to skip that profile.
 // The returned stop function ends the CPU profile and writes the heap
 // profile — call it exactly once, on every exit path (it is what the
-// -cpuprofile/-memprofile flags on all three CLIs run through).
+// -cpuprofile/-memprofile flags of sccsim and sccbench run through).
 func StartProfiles(cpuPath, memPath string) (stop func() error, err error) {
 	var cpuFile *os.File
 	if cpuPath != "" {

@@ -7,7 +7,7 @@ import (
 )
 
 // TestStartProfilesWritesFiles: both profiles land on disk non-empty
-// after stop — the contract the three CLIs' -cpuprofile/-memprofile
+// after stop — the contract the CLIs' -cpuprofile/-memprofile
 // flags rely on.
 func TestStartProfilesWritesFiles(t *testing.T) {
 	dir := t.TempDir()

@@ -14,6 +14,8 @@
 package pipeline
 
 import (
+	"fmt"
+
 	"sccsim/internal/cache"
 	"sccsim/internal/scc"
 	"sccsim/internal/uopcache"
@@ -144,3 +146,57 @@ func (c Config) WithConstWidth(bits int) Config {
 	c.SCC.ConstWidthBits = bits
 	return c
 }
+
+// ConfigError names a Config field whose value no machine can run with.
+type ConfigError struct {
+	Field string // path of the field within Config, e.g. "Hier.L1D.Sets"
+	Value int
+	Want  string // what the field accepts
+}
+
+func (e *ConfigError) Error() string {
+	return fmt.Sprintf("pipeline: invalid config: %s = %d (want %s)", e.Field, e.Value, e.Want)
+}
+
+// Validate returns a *ConfigError for the first field a machine cannot
+// run with, or nil. Zero widths and queues never make progress, a zero
+// functional-unit count spins forever inside one cycle, zero-sized or
+// non-power-of-two cache geometries panic or index wrongly, and a
+// negative optimized-partition size is no partition at all.
+func (c Config) Validate() error {
+	for _, f := range []struct {
+		field string
+		v     int
+	}{
+		{"FetchWidth", c.FetchWidth}, {"DecodeWidth", c.DecodeWidth},
+		{"RenameWidth", c.RenameWidth}, {"CommitWidth", c.CommitWidth},
+		{"IDQSize", c.IDQSize}, {"ROBSize", c.ROBSize},
+		{"IQSize", c.IQSize}, {"LSQSize", c.LSQSize},
+		{"IntALUs", c.IntALUs}, {"MulUnits", c.MulUnits}, {"DivUnits", c.DivUnits},
+		{"FPUnits", c.FPUnits}, {"MemPorts", c.MemPorts},
+		{"UC.UnoptSets", c.UC.UnoptSets},
+	} {
+		if f.v < 1 {
+			return &ConfigError{Field: f.field, Value: f.v, Want: ">= 1"}
+		}
+	}
+	if c.UC.OptSets < 0 {
+		return &ConfigError{Field: "UC.OptSets", Value: c.UC.OptSets, Want: ">= 0"}
+	}
+	for _, l := range []struct {
+		name string
+		cfg  cache.Config
+	}{{"L1I", c.Hier.L1I}, {"L1D", c.Hier.L1D}, {"L2", c.Hier.L2}, {"L3", c.Hier.L3}} {
+		switch {
+		case !powerOfTwo(l.cfg.Sets):
+			return &ConfigError{Field: "Hier." + l.name + ".Sets", Value: l.cfg.Sets, Want: "a power of two"}
+		case l.cfg.Ways < 1:
+			return &ConfigError{Field: "Hier." + l.name + ".Ways", Value: l.cfg.Ways, Want: ">= 1"}
+		case !powerOfTwo(l.cfg.LineBytes):
+			return &ConfigError{Field: "Hier." + l.name + ".LineBytes", Value: l.cfg.LineBytes, Want: "a power of two"}
+		}
+	}
+	return nil
+}
+
+func powerOfTwo(n int) bool { return n > 0 && n&(n-1) == 0 }

@@ -77,7 +77,7 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 // resolveConfig turns a request into the effective machine
 // configuration — the same MaxUops resolution harness.Prepare applies,
 // so the admission-time ConfigHash matches the manifest the run
-// produces.
+// produces. A raw config the machine cannot run with is rejected here.
 func (s *Server) resolveConfig(req JobRequest, wl workloads.Workload) (pipeline.Config, error) {
 	var cfg pipeline.Config
 	switch {
@@ -103,7 +103,7 @@ func (s *Server) resolveConfig(req JobRequest, wl workloads.Workload) (pipeline.
 	if cfg.MaxUops > s.cfg.MaxUopsCap {
 		return cfg, fmt.Errorf("max_uops %d exceeds the service cap %d", cfg.MaxUops, s.cfg.MaxUopsCap)
 	}
-	return cfg, nil
+	return cfg, cfg.Validate()
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {

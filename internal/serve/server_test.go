@@ -366,6 +366,14 @@ func TestSubmitValidation(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
+	// A raw config with no integer ALUs would spin a worker forever.
+	noALU := pipeline.Icelake()
+	noALU.IntALUs = 0
+	noALUJSON, err := json.Marshal(noALU)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	cases := []struct {
 		name, body string
 	}{
@@ -375,6 +383,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown field", `{"workload":"mcf","frobnicate":1}`},
 		{"over budget cap", `{"workload":"mcf","max_uops":60000}`},
 		{"empty body", ``},
+		{"unrunnable raw config", `{"workload":"mcf","max_uops":20000,"config":` + string(noALUJSON) + `}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
